@@ -79,7 +79,6 @@ from .verify import (
     FamilyConfig,
     Report,
     Verdict,
-    VerifyConfig,
     verify_family,
     verify_table,
 )

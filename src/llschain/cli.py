@@ -26,8 +26,6 @@ from .render import (
 from .table import (
     VanishingTable,
     classify_degeneracy,
-    find_swaps,
-    lambda_sequence,
     rho_accounting,
     validate_table,
 )
@@ -110,10 +108,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_inspect(args) -> int:
     table = _load_table(args)
-    lam = lambda_sequence(table)
-    breakdown = rho_accounting(table, lam)
-    swaps = find_swaps(table)
-    klass = classify_degeneracy(table, swaps)
+    lam = table.shape
+    breakdown = rho_accounting(table)
+    swaps = table.swaps
+    klass = classify_degeneracy(table)
     print(f"(g, r, d) = ({table.g}, {table.r}, {table.d}), rho = {table.rho}")
     print(
         "rho accounting: ramification "

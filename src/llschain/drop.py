@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .multidegree import TwistVector, component_degrees
-from .table import LambdaSequence, exceptional_rows, lambda_sequence
 from .tensor import PotentialSection, TensorTable, extract_potential_sections
 
 CERTIFICATE_VERSION = 1
@@ -53,17 +52,14 @@ class DropContext:
     )
 
     def __init__(self, tt: TensorTable, w: TwistVector,
-                 sections: list[PotentialSection],
-                 lam: LambdaSequence | None = None):
+                 sections: list[PotentialSection]):
         base = tt.base
-        if lam is None:
-            lam = lambda_sequence(base)
         self.n = base.n_columns
         self.d2 = 2 * base.d
         self.genera = base.chain.genera
         self.degree = component_degrees(w, base.chain)
-        self.delta = [lam.delta[i + 1] for i in range(self.n)]
-        exc = exceptional_rows(base)
+        self.delta = list(base.shape.delta[1:])
+        exc = base.exceptional
         self.exc = [frozenset(j for (c, j) in exc if c == x + 1) for x in range(self.n)]
         self.sections = sections
         self.pair_of = [tt.pair_index(s.row) for s in sections]
@@ -355,34 +351,31 @@ class DropResult:
 
 
 def is_semicritical(tt: TensorTable, w: TwistVector, column: int,
-                    remaining: list[PotentialSection],
-                    lam: LambdaSequence | None = None) -> bool:
-    ctx = DropContext(tt, w, list(remaining), lam)
+                    remaining: list[PotentialSection]) -> bool:
+    ctx = DropContext(tt, w, list(remaining))
     alive = (1 << len(remaining)) - 1
     return _semicritical(ctx, alive, column - 1)
 
 
 def is_critical(tt: TensorTable, w: TwistVector, column: int,
-                remaining: list[PotentialSection],
-                lam: LambdaSequence | None = None) -> bool:
-    ctx = DropContext(tt, w, list(remaining), lam)
+                remaining: list[PotentialSection]) -> bool:
+    ctx = DropContext(tt, w, list(remaining))
     alive = (1 << len(remaining)) - 1
     return _semicritical(ctx, alive, column - 1, want_critical=True)
 
 
 def drop_all(tt: TensorTable, w: TwistVector,
              sections: list[PotentialSection] | None = None,
-             lam: LambdaSequence | None = None,
              max_nodes: int = _SEARCH_MAX_NODES,
              context: DropContext | None = None) -> DropResult:
     """Try to drop every potential section; failure is a value, not an error."""
     if sections is None:
         sections = extract_potential_sections(tt, w)
-    ctx = context if context is not None else DropContext(tt, w, sections, lam)
+    ctx = context if context is not None else DropContext(tt, w, sections)
     full = (1 << len(sections)) - 1
     steps: list[dict] = []
     stuck = _greedy(ctx, full, steps)
-    table_hash = tt.base.table_hash()
+    table_hash = tt.base.hash
     if stuck == 0:
         cert = DropCertificate(table_hash, w, tuple(steps))
         return DropResult(True, cert)
@@ -399,7 +392,6 @@ def drop_all(tt: TensorTable, w: TwistVector,
 
 def replay_certificate(cert: DropCertificate, tt: TensorTable,
                        w: TwistVector,
-                       lam: LambdaSequence | None = None,
                        context: DropContext | None = None) -> bool:
     """Re-run a certificate step by step, checking each precondition.
 
@@ -415,7 +407,7 @@ def replay_certificate(cert: DropCertificate, tt: TensorTable,
         sections = ctx.sections
     else:
         sections = extract_potential_sections(tt, w)
-        ctx = DropContext(tt, w, sections, lam)
+        ctx = DropContext(tt, w, sections)
     index = {
         (tuple(s.row), s.start, s.end): i for i, s in enumerate(sections)
     }

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import ChainCurve
-from .table import LambdaSequence, VanishingTable, exceptional_rows, find_swaps, lambda_sequence
+from .table import LambdaSequence, VanishingTable
 
 
 class MultidegreeError(ValueError):
@@ -142,8 +142,7 @@ def _after_last_at(lam: LambdaSequence, n: int, ell1: int, ell2: int, value: int
     return last + 1
 
 
-def default_threes(table: VanishingTable,
-                   lam: LambdaSequence | None = None) -> tuple[int, ...]:
+def default_threes(table: VanishingTable) -> tuple[int, ...]:
     """The six degree-3 columns of the default multidegree (r = 6 only)."""
     if table.r != 6:
         raise MultidegreeError("default multidegree is defined for r = 6")
@@ -151,8 +150,7 @@ def default_threes(table: VanishingTable,
     n = table.n_columns
     if chain.genera[0] != 1 or chain.genera[-1] != 1:
         raise MultidegreeError("default multidegree needs genus-1 end components")
-    if lam is None:
-        lam = lambda_sequence(table)
+    lam = table.shape
     picks = [1]
     rules = [
         (2, _first_at(lam, n, 1, 2, 5), "bar counts 1+2 = 5"),
@@ -172,9 +170,8 @@ def default_threes(table: VanishingTable,
     return tuple(sorted(picks))
 
 
-def default_multidegree(table: VanishingTable,
-                        lam: LambdaSequence | None = None) -> TwistVector:
-    return twist_from_threes(table.chain, table.d, default_threes(table, lam))
+def default_multidegree(table: VanishingTable) -> TwistVector:
+    return twist_from_threes(table.chain, table.d, default_threes(table))
 
 
 def twist_vanishing_components(w: TwistVector, w2: TwistVector) -> frozenset[int]:
@@ -196,9 +193,10 @@ def twist_vanishing_components(w: TwistVector, w2: TwistVector) -> frozenset[int
     return frozenset(i for i in range(1, n + 1) if tails[i] > lo)
 
 
-def _flex_window(table: VanishingTable, lam: LambdaSequence, rule: int,
+def _flex_window(table: VanishingTable, rule: int,
                  exc_columns: set[int]) -> list[int]:
     """Admissible target columns for relocating the rule-th 3."""
+    lam = table.shape
     chain = table.chain
     n = table.n_columns
     genus1 = [i for i in range(1, n + 1) if chain.genera[i - 1] == 1]
@@ -243,8 +241,7 @@ def _flex_window(table: VanishingTable, lam: LambdaSequence, rule: int,
     raise ValueError(f"no rule {rule}")
 
 
-def iter_candidate_multidegrees(table: VanishingTable,
-                                lam: LambdaSequence | None = None):
+def iter_candidate_multidegrees(table: VanishingTable):
     """Lazily yield the default multidegree, then its single-3 relocations,
     then the swap-targeted moves.
 
@@ -253,18 +250,16 @@ def iter_candidate_multidegrees(table: VanishingTable,
     from the left or the right onto each swap column.  The sequence is
     deterministic and duplicate-free.
     """
-    if lam is None:
-        lam = lambda_sequence(table)
     chain, d = table.chain, table.d
-    base = default_threes(table, lam)
+    base = default_threes(table)
     yield twist_from_threes(chain, d, base)
     seen = {base}
-    exc_columns = {i for (i, _) in exceptional_rows(table)}
+    exc_columns = {i for (i, _) in table.exceptional}
 
     moves: list[tuple[int, int]] = []
     for rule in range(1, 7):
         current = base[rule - 1]
-        for target in _flex_window(table, lam, rule, exc_columns):
+        for target in _flex_window(table, rule, exc_columns):
             if target != current:
                 moves.append((target, rule))
     for target, rule in sorted(moves):
@@ -273,7 +268,7 @@ def iter_candidate_multidegrees(table: VanishingTable,
             seen.add(threes)
             yield twist_from_threes(chain, d, threes)
 
-    for swap in find_swaps(table):
+    for swap in table.swaps:
         s = swap.column
         if s in base or chain.genera[s - 1] != 1:
             continue
@@ -286,7 +281,6 @@ def iter_candidate_multidegrees(table: VanishingTable,
                 yield twist_from_threes(chain, d, threes)
 
 
-def candidate_multidegrees(table: VanishingTable,
-                           lam: LambdaSequence | None = None) -> list[TwistVector]:
+def candidate_multidegrees(table: VanishingTable) -> list[TwistVector]:
     """The candidate sequence of :func:`iter_candidate_multidegrees` as a list."""
-    return list(iter_candidate_multidegrees(table, lam))
+    return list(iter_candidate_multidegrees(table))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chain import ChainCurve
 
@@ -78,6 +79,11 @@ class VanishingTable:
 
     ``a[i][j]`` and ``b[i][j]`` are 0-indexed in the column i; the public
     column numbering used in errors, swaps and certificates is 1-based.
+
+    The derived facts ``shape``, ``swaps``, ``exceptional`` and ``hash`` are
+    computed on first use, by the free functions of this module and by
+    :meth:`table_hash`, and cached on the table, so each is computed once
+    per table however many readers it has.
     """
 
     chain: ChainCurve
@@ -97,13 +103,6 @@ class VanishingTable:
     @property
     def rho(self) -> int:
         return self.g - (self.r + 1) * (self.g + self.r - self.d)
-
-    def genus_of_column(self, i: int) -> int:
-        return self.chain.genera[i - 1]
-
-    def column_sums(self, i: int) -> tuple[int, ...]:
-        ai, bi = self.a[i - 1], self.b[i - 1]
-        return tuple(ai[j] + bi[j] for j in range(self.r + 1))
 
     def virtual_last_a(self) -> tuple[int, ...]:
         """a^{N+1}_j = d - b^N_j, the row values past the right end."""
@@ -135,6 +134,22 @@ class VanishingTable:
             self.r, self.d, self.chain.genera, self.a, self.b,
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+    @cached_property
+    def shape(self) -> LambdaSequence:
+        return lambda_sequence(self)
+
+    @cached_property
+    def swaps(self) -> tuple[Swap, ...]:
+        return tuple(find_swaps(self))
+
+    @cached_property
+    def exceptional(self) -> frozenset[tuple[int, int]]:
+        return frozenset(exceptional_rows(self))
+
+    @cached_property
+    def hash(self) -> str:
+        return self.table_hash()
 
 
 def table_from_columns(chain: ChainCurve, r: int, d: int,
@@ -269,16 +284,14 @@ class RhoBreakdown:
     rho: int
 
 
-def rho_accounting(table: VanishingTable,
-                   lam: LambdaSequence | None = None) -> RhoBreakdown:
+def rho_accounting(table: VanishingTable) -> RhoBreakdown:
     """Split the degeneracy budget into its three sources.
 
     Raises :class:`InvalidSeries` when the total exceeds rho; on valid tables
     the slack rho - total equals the extra vanishing of b^N beyond the
     minimal staircase.
     """
-    if lam is None:
-        lam = lambda_sequence(table)
+    lam = table.shape
     n, r = table.n_columns, table.r
     ram = sum(table.a[0][j] - j for j in range(r + 1))
     exc = 0
@@ -369,15 +382,13 @@ class DegeneracyClass:
         return out
 
 
-def classify_degeneracy(table: VanishingTable,
-                        swaps: list[Swap] | None = None) -> DegeneracyClass:
+def classify_degeneracy(table: VanishingTable) -> DegeneracyClass:
     """Sort a table with at most two swaps into the two-swap taxonomy.
 
     Configurations outside the taxonomy come back as ``other``; this never
     raises.
     """
-    if swaps is None:
-        swaps = find_swaps(table)
+    swaps = table.swaps
     if not swaps:
         return DegeneracyClass("no_swap")
     if len(swaps) == 1:

@@ -33,33 +33,21 @@ from dataclasses import dataclass, field
 from .chain import left_weighted_weights
 from .drop import DropCertificate, DropContext, drop_all, replay_certificate
 from .enumeration import TableEnumerator
-from .multidegree import (
-    TwistVector,
-    component_degrees,
-    iter_candidate_multidegrees,
-)
+from .multidegree import TwistVector, iter_candidate_multidegrees
 from .table import (
     DegeneracyClass,
-    LambdaSequence,
     VanishingTable,
     classify_degeneracy,
-    exceptional_rows,
-    find_swaps,
-    lambda_sequence,
     rho_accounting,
     validate_table,
 )
 from .tensor import PotentialSection, build_tensor_table, extract_potential_sections
 
+# Not called here; imported so that perfbench/tracer.py can wrap these names.
+from .multidegree import component_degrees  # noqa: F401
+from .table import exceptional_rows, find_swaps, lambda_sequence  # noqa: F401
+
 SIDE_NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    replay: bool = True
-    collect_invariants: bool = True
-    emit_certificate: bool = True
-    max_candidates: int | None = None
 
 
 @dataclass
@@ -110,7 +98,7 @@ def _sections_of_row(sections: list[PotentialSection],
     return [s for s in sections if s.row == key]
 
 
-def _cycle1_side(table: VanishingTable, klass: DegeneracyClass,
+def _cycle1_side(klass: DegeneracyClass,
                  sections: list[PotentialSection]) -> str | None:
     j0, i0, i1 = klass.j0, klass.i0, klass.i1
     secs = _sections_of_row(sections, (j0 - 1, j0))
@@ -120,7 +108,8 @@ def _cycle1_side(table: VanishingTable, klass: DegeneracyClass,
 
 
 def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
-                 w: TwistVector, sections: list[PotentialSection]) -> str | None:
+                 w: TwistVector, sections: list[PotentialSection],
+                 degs: tuple[int, ...]) -> str | None:
     j0, i0, i1 = klass.j0, klass.i0, klass.i1
     secs = _sections_of_row(sections, (j0 - 1, j0 - 1))
     has_left = any(s.end < i0 for s in secs)
@@ -135,7 +124,6 @@ def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
     )
     if 2 * a_i0 == ext[i0] - 1 and 2 * a_after == ext[i1 + 1] + 1:
         return "cycle2_b"
-    degs = component_degrees(w, table.chain)
     if (
         2 * a_i0 == ext[i0] - 2
         and 2 * a_after == ext[i1 + 1] + 2
@@ -146,8 +134,8 @@ def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
     return None
 
 
-def _default_invariants(table: VanishingTable, sections: list[PotentialSection],
-                        n_swaps: int) -> list[str]:
+def _default_invariants(table: VanishingTable,
+                        sections: list[PotentialSection]) -> list[str]:
     """Structural facts checked at the default multidegree."""
     out = []
     n = table.n_columns
@@ -160,27 +148,21 @@ def _default_invariants(table: VanishingTable, sections: list[PotentialSection],
     for i in range(1, n):
         if crossing[i] > 3:
             out.append(f"spanning_count {crossing[i]} > 3 at column {i}")
+    n_swaps = len(table.swaps)
     if n_swaps > table.rho:
         out.append(f"{n_swaps} swaps exceed rho = {table.rho}")
-    exc_rows = {j for (_, j) in exceptional_rows(table)}
+    exc_rows = {j for (_, j) in table.exceptional}
     for row, cnt in per_row.items():
         if cnt > 1 and not (row[0] in exc_rows or row[1] in exc_rows):
             out.append(f"row {row} disconnected without exceptional row")
     return out
 
 
-def verify_table(table: VanishingTable, config: VerifyConfig | None = None,
-                 lam: LambdaSequence | None = None,
-                 index: int | None = None) -> Verdict:
+def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
     """Search the candidate multidegrees for a certified pass."""
-    if config is None:
-        config = VerifyConfig()
     validate_table(table)
-    if lam is None:
-        lam = lambda_sequence(table)
-    breakdown = rho_accounting(table, lam)
-    swaps = find_swaps(table)
-    klass = classify_degeneracy(table, swaps)
+    breakdown = rho_accounting(table)
+    klass = classify_degeneracy(table)
     tt = build_tensor_table(table)
 
     lw_required = klass.kind in ("disjoint", "cycle2")
@@ -193,15 +175,13 @@ def verify_table(table: VanishingTable, config: VerifyConfig | None = None,
     diagnostics: list[str] = []
     violations: tuple[str, ...] = ()
     tried = 0
-    for pos, w in enumerate(iter_candidate_multidegrees(table, lam)):
-        if config.max_candidates is not None and pos >= config.max_candidates:
-            break
+    for pos, w in enumerate(iter_candidate_multidegrees(table)):
         sections = extract_potential_sections(tt, w)
-        if pos == 0 and config.collect_invariants:
-            violations = tuple(_default_invariants(table, sections, len(swaps)))
+        if pos == 0:
+            violations = tuple(_default_invariants(table, sections))
         tried += 1
-        context = DropContext(tt, w, sections, lam)
-        result = drop_all(tt, w, sections, lam, context=context)
+        context = DropContext(tt, w, sections)
+        result = drop_all(tt, w, sections, context=context)
         if not result.success:
             diagnostics.append(
                 f"candidate {pos}: {len(result.remaining)} sections stuck"
@@ -209,28 +189,26 @@ def verify_table(table: VanishingTable, config: VerifyConfig | None = None,
             )
             continue
         if klass.kind == "cycle1":
-            side = _cycle1_side(table, klass, sections)
+            side = _cycle1_side(klass, sections)
             if side is None:
                 diagnostics.append(f"candidate {pos}: cycle1 side condition fails")
                 continue
         elif klass.kind == "cycle2":
-            side = _cycle2_side(table, klass, w, sections)
+            side = _cycle2_side(table, klass, w, sections, context.degree)
             if side is None:
                 diagnostics.append(f"candidate {pos}: cycle2 side condition fails")
                 continue
         else:
             side = SIDE_NOT_APPLICABLE
-        if config.replay and not replay_certificate(
-            result.certificate, tt, w, lam, context=context
-        ):
+        if not replay_certificate(result.certificate, tt, w, context=context):
             diagnostics.append(f"candidate {pos}: certificate does not replay")
             continue
         return Verdict(
-            table_hash=table.table_hash(),
+            table_hash=table.hash,
             degeneracy=klass,
             passing=True,
             w=w,
-            certificate=result.certificate if config.emit_certificate else None,
+            certificate=result.certificate,
             side_condition=side,
             left_weighted_required=lw_required,
             left_weighted_min=lw_min,
@@ -240,7 +218,7 @@ def verify_table(table: VanishingTable, config: VerifyConfig | None = None,
             index=index,
         )
     return Verdict(
-        table_hash=table.table_hash(),
+        table_hash=table.hash,
         degeneracy=klass,
         passing=False,
         w=None,
@@ -347,9 +325,8 @@ def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
         "passed": 0, "failed": 0, "classes": {}, "sides": {},
         "failures": [], "violations": 0, "violation_examples": [],
     }
-    config = VerifyConfig()
     for idx, table in items:
-        verdict = verify_table(table, config, index=idx)
+        verdict = verify_table(table, index=idx)
         record = verdict.to_json(with_certificate=emit_certs)
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
         kind = verdict.degeneracy.kind
@@ -390,15 +367,19 @@ def _chunks(config: FamilyConfig, total: int, skip: int):
             yield ("indices", tuple(indices[lo : lo + config.chunk_size]))
 
 
+def _checkpoint_spec(config: FamilyConfig) -> list:
+    """Every setting a resumed run must share with the run it continues."""
+    return [config.g, config.r, config.d, config.rho_max, config.stratum,
+            config.mode, config.seed, config.n, config.emit_certificates]
+
+
 def _load_checkpoint(config: FamilyConfig) -> tuple[int, str, dict]:
     path = config.checkpoint_path
     if not path or not os.path.exists(path):
         return 0, "", {}
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("spec") != list(config.spec_key())[:3] + [
-        config.rho_max, config.stratum, config.mode, config.seed
-    ]:
+    if obj.get("spec") != _checkpoint_spec(config):
         raise ValueError("checkpoint does not match this run")
     return obj["done"], obj["stream_hash"], obj.get("counters", {})
 
@@ -408,9 +389,7 @@ def _save_checkpoint(config: FamilyConfig, done: int, stream_hash: str,
     if not config.checkpoint_path:
         return
     payload = {
-        "spec": list(config.spec_key())[:3] + [
-            config.rho_max, config.stratum, config.mode, config.seed
-        ],
+        "spec": _checkpoint_spec(config),
         "done": done,
         "stream_hash": stream_hash,
         "counters": counters,

@@ -35,7 +35,6 @@ from llschain import (
     extract_potential_sections,
     find_swaps,
     g22_example,
-    lambda_sequence,
     spanning_count,
     twist_vanishing_components,
     validate_table,
@@ -244,9 +243,8 @@ def test_criterion_5c_drop_order_invariance():
     assert len(instances) == 200
     verdicts = {True: 0, False: 0}
     for table, tt, w, secs in instances:
-        lam = lambda_sequence(table)
-        ctx = DropContext(tt, w, secs, lam)
-        engine = drop_all(tt, w, secs, lam, max_nodes=200_000)
+        ctx = DropContext(tt, w, secs)
+        engine = drop_all(tt, w, secs, max_nodes=200_000)
         assert engine.success == exhaustive_order_verdict(ctx, len(secs))
         verdicts[engine.success] += 1
     assert verdicts[False] > 0 and verdicts[True] > 0

@@ -74,8 +74,8 @@ def test_semicritical_thresholds():
     lam = lambda_sequence(table)
     # column 7 with only its three starting sections left: critical
     remaining = [s for s in secs if s.start >= 7]
-    assert is_semicritical(tt, w, 7, remaining, lam)
-    assert is_critical(tt, w, 7, remaining, lam)
+    assert is_semicritical(tt, w, 7, remaining)
+    assert is_critical(tt, w, 7, remaining)
     # column 8 has no delta (delta_8 = 0 exists; column 10 has delta_10 = 1)
     assert lam.delta[8] == 0
     # a column whose genus-1 delta is missing can never be semicritical:
@@ -89,7 +89,7 @@ def test_semicritical_thresholds():
         tt2 = build_tensor_table(t2)
         w2 = default_multidegree(t2)
         secs2 = extract_potential_sections(tt2, w2)
-        assert not is_semicritical(tt2, w2, missing[0], secs2, lam2)
+        assert not is_semicritical(tt2, w2, missing[0], secs2)
         break
     else:
         pytest.skip("no missing-delta table in sample")
@@ -99,10 +99,9 @@ def test_semicritical_sum_threshold():
     # minima summing to 2d-3 are not semicritical: shrink the multidegree
     # window so that a mid-block column keeps low-vanishing sections
     table, tt, w, secs = g22_setup()
-    lam = lambda_sequence(table)
     # column 9 carries the swap; with every section remaining, the minima at
     # column 9 come from sections whose values add to less than 2d-2
-    assert not is_semicritical(tt, w, 9, secs, lam)
+    assert not is_semicritical(tt, w, 9, secs)
 
 
 def test_replay_rejects_transposed_steps():
@@ -208,9 +207,8 @@ def small_drop_instances(n_success=20, n_failure=6):
 def test_verdict_matches_exhaustive_order_search():
     verdicts = {True: 0, False: 0}
     for table, tt, w, secs in small_drop_instances():
-        lam = lambda_sequence(table)
-        ctx = DropContext(tt, w, secs, lam)
-        engine = drop_all(tt, w, secs, lam, max_nodes=200_000)
+        ctx = DropContext(tt, w, secs)
+        engine = drop_all(tt, w, secs, max_nodes=200_000)
         exhaustive = exhaustive_order_verdict(ctx, len(secs))
         assert engine.success == exhaustive, table.table_hash()
         verdicts[engine.success] += 1
@@ -226,8 +224,7 @@ def test_failure_is_closed_state():
         if result.success:
             continue
         assert result.remaining
-        lam = lambda_sequence(table)
-        ctx = DropContext(tt, w, result.remaining, lam)
+        ctx = DropContext(tt, w, result.remaining)
         stuck = (1 << len(result.remaining)) - 1
         assert not list(_all_actions(ctx, stuck))
         found += 1

@@ -1,5 +1,8 @@
 import json
 import os
+from collections import Counter
+
+import pytest
 
 from llschain import (
     degree_three_columns,
@@ -7,6 +10,7 @@ from llschain import (
     left_weighted_weights,
     verify_table,
 )
+from llschain import table as table_module
 from llschain.enumeration import TableEnumerator
 from llschain.verify import FamilyConfig, verify_family
 
@@ -139,6 +143,24 @@ def test_family_checkpoint_resume_hash_equality(tmp_path):
         (tmp_path / "full.jsonl").read_text()
 
 
+def test_family_resume_rejects_other_sample_size(tmp_path):
+    base = dict(g=22, r=6, d=25, mode="sampled", seed=7, chunk_size=20,
+                out_path=str(tmp_path / "s.jsonl"),
+                checkpoint_path=str(tmp_path / "s.ck"))
+    verify_family(FamilyConfig(**base, n=60, limit=40))
+    with pytest.raises(ValueError, match="checkpoint does not match"):
+        verify_family(FamilyConfig(**base, n=200))
+
+
+def test_family_resume_rejects_other_certificate_flag(tmp_path):
+    base = dict(g=21, r=6, d=24, rho_max=0, chunk_size=20,
+                out_path=str(tmp_path / "c.jsonl"),
+                checkpoint_path=str(tmp_path / "c.ck"))
+    verify_family(FamilyConfig(**base, limit=40))
+    with pytest.raises(ValueError, match="checkpoint does not match"):
+        verify_family(FamilyConfig(**base, limit=20, emit_certificates=True))
+
+
 def test_family_parallel_matches_serial(tmp_path):
     base = dict(g=21, r=6, d=24, rho_max=0, limit=150, chunk_size=30)
     serial = verify_family(FamilyConfig(**base, jobs=1))
@@ -210,3 +232,31 @@ def test_candidate_fallback_actually_used():
             assert threes != default_threes(table)
             break
     assert found
+
+
+def test_verify_table_computes_each_fact_once(monkeypatch):
+    # index 151,729,559 is the first table of the seed-12345 two-swap sample
+    # that passes only after the default candidate; pinned for speed
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    [(_, fallback)] = list(enum.iter_range(151_729_559, 1))
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("lambda_sequence", "find_swaps", "exceptional_rows"):
+        monkeypatch.setattr(table_module, name,
+                            counting(name, getattr(table_module, name)))
+    monkeypatch.setattr(table_module.VanishingTable, "table_hash", counting(
+        "table_hash", table_module.VanishingTable.table_hash))
+    once = {"lambda_sequence": 1, "find_swaps": 1, "exceptional_rows": 1,
+            "table_hash": 1}
+    for table, tried_more in ((g22_example(), False), (fallback, True)):
+        calls.clear()
+        verdict = verify_table(table)
+        assert verdict.passing
+        assert (verdict.candidates_tried > 1) == tried_more
+        assert dict(calls) == once
