@@ -24,6 +24,13 @@ engine runs a deterministic greedy schedule (left and right rule-(i)
 sweeps, then rule (ii), then rule-(iii) blocks, to a fixpoint) and falls
 back to a bounded exhaustive search over rule orders if the greedy schedule
 stalls.  Every drop is recorded in a replayable certificate.
+
+The greedy schedule, the search and replay all ask one primitive, `_find`,
+which drop a rule allows at a column or block in a given state, and
+`_step` alone writes certificate steps.  A certificate is bound to the hash
+of its table and to `w`; replay accepts it iff each step is exactly the
+drop its rule allows at that place at that moment (same rule, same side,
+same set of sections) and nothing remains at the end.
 """
 
 from __future__ import annotations
@@ -94,42 +101,93 @@ class DropContext:
         return [i for i in self.by_col[x] if (alive >> i) & 1]
 
 
-def _col_minima(ctx: DropContext, secs: list[int], x: int) -> tuple[int, int]:
-    mina = min(ctx.ta[x][ctx.pair_of[i]] for i in secs)
-    minb = min(ctx.tb[x][ctx.pair_of[i]] for i in secs)
-    return mina, minb
-
-
-def _semicritical(ctx: DropContext, alive: int, x: int,
-                  want_critical: bool = False) -> bool:
+def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
+    """Level of column x: 0 none, 1 semicritical, 2 critical."""
     dj = ctx.delta[x]
     if dj is None:
-        return False
+        return 0
     secs = ctx.alive_at(alive, x)
-    if secs:
-        mina, minb = _col_minima(ctx, secs, x)
-        if mina + minb < ctx.d2 - 2:
-            return False
-        for i in secs:
-            j1, j2 = ctx.sections[i].row
-            if dj in (j1, j2):
-                other = j1 + j2 - dj
-                if other != dj and other in ctx.exc[x]:
-                    return False
-        if want_critical:
-            p = ctx.dd_pair[x]
-            if mina == ctx.ta[x][p] - 1 and minb == ctx.tb[x][p] - 1:
-                return False
-    return True
+    if not secs:
+        return 2
+    mina = min(ctx.ta[x][ctx.pair_of[i]] for i in secs)
+    minb = min(ctx.tb[x][ctx.pair_of[i]] for i in secs)
+    if mina + minb < ctx.d2 - 2:
+        return 0
+    for i in secs:
+        j1, j2 = ctx.sections[i].row
+        if dj in (j1, j2):
+            other = j1 + j2 - dj
+            if other != dj and other in ctx.exc[x]:
+                return 0
+    p = ctx.dd_pair[x]
+    if mina == ctx.ta[x][p] - 1 and minb == ctx.tb[x][p] - 1:
+        return 1
+    return 2
 
 
-def _rule_i(ctx: DropContext, alive: int, x: int):
-    """Unique-minimum drop in column x: returns (side, index) or None."""
+def _rule_iii(ctx: DropContext, alive: int, block: tuple[int, int],
+              anchored: bool):
+    """Rule (iii) on block (u, v): every live section meeting the block."""
+    u, v = block
+    secs_u = ctx.alive_at(alive, u)
+    secs_v = ctx.alive_at(alive, v)
+    if len(secs_u) > 3 or len(secs_v) > 3:
+        return None
+    if anchored and (not secs_u or not secs_v):
+        return None
+    dropped = [
+        i for i in range(len(ctx.sections))
+        if alive & ctx.bit[i] and ctx.start0[i] <= v and ctx.end0[i] >= u
+    ]
+    if not dropped:
+        return None
+    for k in range(u, v):
+        crossing = sum(
+            1 for i in dropped if ctx.start0[i] <= k and ctx.end0[i] >= k + 1
+        )
+        if crossing > 3:
+            return None
+    level_u = _semicritical(ctx, alive, u)
+    if not level_u:
+        return None
+    level_v = _semicritical(ctx, alive, v)
+    if not level_v:
+        return None
+    arm_left = level_u == 2 and not any(ctx.end0[i] == u for i in dropped)
+    arm_right = level_v == 2 and not any(ctx.start0[i] == v for i in dropped)
+    if not (arm_left or arm_right):
+        return None
+    return (None, dropped)
+
+
+def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False):
+    """The drop that `rule` allows at `where` in state `alive`, or None.
+
+    `where` is a 0-based column for rules i and ii and a 0-based block
+    (u, v) from `ctx.blocks` for rule iii; `anchored` restricts rule iii to
+    blocks with live sections at both endpoints.  The drop is returned as
+    (side, section indices), where side is the minimum ("a" or "b") that
+    rule i used and None for the other rules.
+    """
+    if rule == "iii":
+        return _rule_iii(ctx, alive, where, anchored)
+    x = where
+    if rule == "ii" and ctx.genera[x] != 1:
+        return None
     secs = ctx.alive_at(alive, x)
     if not secs:
         return None
+    if rule == "ii":
+        if len(secs) > 2:
+            return None
+        for i in secs:
+            for j in ctx.sections[i].row:
+                if j in ctx.exc[x]:
+                    return None
+        return (None, secs)
+    # rule (i): a unique minimal a-value, else a unique minimal b-value
     if len(secs) == 1:
-        return ("a", secs[0])
+        return ("a", secs)
     ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
     best_a = best_b = None
     lo_a = lo_b = None
@@ -146,133 +204,68 @@ def _rule_i(ctx: DropContext, alive: int, x: int):
         elif vb == lo_b:
             count_b += 1
     if count_a == 1:
-        return ("a", best_a)
+        return ("a", [best_a])
     if count_b == 1:
-        return ("b", best_b)
+        return ("b", [best_b])
     return None
 
 
-def _rule_ii(ctx: DropContext, alive: int, x: int):
-    if ctx.genera[x] != 1:
-        return None
-    secs = ctx.alive_at(alive, x)
-    if not secs or len(secs) > 2:
-        return None
+def _step(ctx: DropContext, rule: str, where, side, secs: list[int]) -> dict:
+    """The certificate record of one drop found by `_find`."""
+    if rule == "i":
+        return {"rule": "i", "column": where + 1, "min": side,
+                "section": ctx.sections[secs[0]].to_json()}
+    if rule == "ii":
+        return {"rule": "ii", "column": where + 1,
+                "sections": [ctx.sections[i].to_json() for i in secs]}
+    u, v = where
+    return {"rule": "iii", "start": u + 1, "end": v + 1,
+            "sections": [ctx.sections[i].to_json() for i in secs]}
+
+
+def _mask(ctx: DropContext, secs: list[int]) -> int:
+    mask = 0
     for i in secs:
-        for j in ctx.sections[i].row:
-            if j in ctx.exc[x]:
-                return None
-    return secs
-
-
-def _rule_iii(ctx: DropContext, alive: int, u: int, v: int,
-              require_anchored: bool = False):
-    secs_u = ctx.alive_at(alive, u)
-    secs_v = ctx.alive_at(alive, v)
-    if len(secs_u) > 3 or len(secs_v) > 3:
-        return None
-    if require_anchored and (not secs_u or not secs_v):
-        return None
-    dropped = [
-        i for i in range(len(ctx.sections))
-        if alive & ctx.bit[i] and ctx.start0[i] <= v and ctx.end0[i] >= u
-    ]
-    if not dropped:
-        return None
-    for k in range(u, v):
-        crossing = sum(
-            1 for i in dropped if ctx.start0[i] <= k and ctx.end0[i] >= k + 1
-        )
-        if crossing > 3:
-            return None
-    if not (_semicritical(ctx, alive, u) and _semicritical(ctx, alive, v)):
-        return None
-    arm_left = _semicritical(ctx, alive, u, want_critical=True) and not any(
-        ctx.end0[i] == u for i in dropped
-    )
-    arm_right = _semicritical(ctx, alive, v, want_critical=True) and not any(
-        ctx.start0[i] == v for i in dropped
-    )
-    if not (arm_left or arm_right):
-        return None
-    return dropped
-
-
-def _sec_json(ctx: DropContext, i: int) -> dict:
-    s = ctx.sections[i]
-    return {"row": list(s.row), "start": s.start, "end": s.end}
+        mask |= ctx.bit[i]
+    return mask
 
 
 def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
     n = ctx.n
+    sweep = [*range(n), *reversed(range(n))]
+    # after the rule-(i) sweeps stall: rule (ii), then blocks anchored by
+    # live sections at both endpoints, then the liberal rule (iii)
+    fallbacks = ([("ii", x, False) for x in range(n)]
+                 + [("iii", b, True) for b in ctx.blocks]
+                 + [("iii", b, False) for b in ctx.blocks])
     while alive:
         progress = False
-        for sweep in (range(n), range(n - 1, -1, -1)):
-            for x in sweep:
-                while True:
-                    act = _rule_i(ctx, alive, x)
-                    if act is None:
-                        break
-                    side, i = act
-                    steps.append({"rule": "i", "column": x + 1, "min": side,
-                                  "section": _sec_json(ctx, i)})
-                    alive &= ~ctx.bit[i]
-                    progress = True
-        if progress:
-            continue
-        for x in range(n):
-            secs = _rule_ii(ctx, alive, x)
-            if secs:
-                steps.append({"rule": "ii", "column": x + 1,
-                              "sections": [_sec_json(ctx, i) for i in secs]})
-                for i in secs:
-                    alive &= ~ctx.bit[i]
+        for x in sweep:
+            while (found := _find(ctx, alive, "i", x)) is not None:
+                steps.append(_step(ctx, "i", x, *found))
+                alive &= ~_mask(ctx, found[1])
                 progress = True
-                break
         if progress:
             continue
-        # prefer blocks anchored by live sections at both endpoints; fall
-        # back to the liberal rule only when no anchored block applies
-        for anchored in (True, False):
-            for (u, v) in ctx.blocks:
-                dropped = _rule_iii(ctx, alive, u, v, require_anchored=anchored)
-                if dropped:
-                    steps.append({"rule": "iii", "start": u + 1, "end": v + 1,
-                                  "sections": [_sec_json(ctx, i) for i in dropped]})
-                    for i in dropped:
-                        alive &= ~ctx.bit[i]
-                    progress = True
-                    break
-            if progress:
+        for rule, where, anchored in fallbacks:
+            found = _find(ctx, alive, rule, where, anchored)
+            if found is not None:
+                steps.append(_step(ctx, rule, where, *found))
+                alive &= ~_mask(ctx, found[1])
                 break
-        if not progress:
+        else:
             break
     return alive
 
 
 def _all_actions(ctx: DropContext, alive: int):
-    for x in range(ctx.n):
-        act = _rule_i(ctx, alive, x)
-        if act is not None:
-            side, i = act
-            yield ({"rule": "i", "column": x + 1, "min": side,
-                    "section": _sec_json(ctx, i)}, ctx.bit[i])
-    for x in range(ctx.n):
-        secs = _rule_ii(ctx, alive, x)
-        if secs:
-            mask = 0
-            for i in secs:
-                mask |= ctx.bit[i]
-            yield ({"rule": "ii", "column": x + 1,
-                    "sections": [_sec_json(ctx, i) for i in secs]}, mask)
-    for (u, v) in ctx.blocks:
-        dropped = _rule_iii(ctx, alive, u, v)
-        if dropped:
-            mask = 0
-            for i in dropped:
-                mask |= ctx.bit[i]
-            yield ({"rule": "iii", "start": u + 1, "end": v + 1,
-                    "sections": [_sec_json(ctx, i) for i in dropped]}, mask)
+    """Every drop applicable in state `alive`, as (step, mask) pairs."""
+    places = ([("i", x) for x in range(ctx.n)] + [("ii", x) for x in range(ctx.n)]
+              + [("iii", b) for b in ctx.blocks])
+    for rule, where in places:
+        found = _find(ctx, alive, rule, where)
+        if found is not None:
+            yield _step(ctx, rule, where, *found), _mask(ctx, found[1])
 
 
 def _search(ctx: DropContext, alive: int,
@@ -329,6 +322,8 @@ class DropCertificate:
     @classmethod
     def from_json(cls, obj: dict) -> "DropCertificate":
         try:
+            if not isinstance(obj["steps"], list):
+                raise TypeError("steps must be a list")
             return cls(
                 table_hash=obj["table"],
                 w=TwistVector.from_json(obj["w"]),
@@ -354,14 +349,14 @@ def is_semicritical(tt: TensorTable, w: TwistVector, column: int,
                     remaining: list[PotentialSection]) -> bool:
     ctx = DropContext(tt, w, list(remaining))
     alive = (1 << len(remaining)) - 1
-    return _semicritical(ctx, alive, column - 1)
+    return _semicritical(ctx, alive, column - 1) > 0
 
 
 def is_critical(tt: TensorTable, w: TwistVector, column: int,
                 remaining: list[PotentialSection]) -> bool:
     ctx = DropContext(tt, w, list(remaining))
     alive = (1 << len(remaining)) - 1
-    return _semicritical(ctx, alive, column - 1, want_critical=True)
+    return _semicritical(ctx, alive, column - 1) == 2
 
 
 def drop_all(tt: TensorTable, w: TwistVector,
@@ -390,73 +385,61 @@ def drop_all(tt: TensorTable, w: TwistVector,
     return DropResult(False, None, remaining, search_truncated=truncated)
 
 
+def _parse_step(ctx: DropContext, step) -> tuple:
+    """(rule, where, side, sorted section keys) of one recorded step.
+
+    `where` is None when the step names a column or block outside the chain
+    or a block that rule (iii) does not consider.
+    """
+    try:
+        rule = step["rule"]
+        if rule == "i":
+            place, side, refs = (step["column"],), step["min"], [step["section"]]
+        elif rule == "ii":
+            place, side, refs = (step["column"],), None, step["sections"]
+        elif rule == "iii":
+            place, side, refs = (step["start"], step["end"]), None, step["sections"]
+        else:
+            raise MalformedCertificate(f"unknown rule {rule!r}")
+        if set(map(type, place)) != {int}:
+            raise MalformedCertificate(f"bad place in step {step!r}")
+        keys = sorted([(tuple(o["row"]), o["start"], o["end"]) for o in refs])
+    except (KeyError, TypeError) as err:
+        raise MalformedCertificate(f"bad step {step!r}: {err}") from err
+    if rule == "iii":
+        where = (place[0] - 1, place[1] - 1)
+        return rule, where if where in ctx.blocks else None, side, keys
+    where = place[0] - 1
+    return rule, where if 0 <= where < ctx.n else None, side, keys
+
+
 def replay_certificate(cert: DropCertificate, tt: TensorTable,
                        w: TwistVector,
                        context: DropContext | None = None) -> bool:
-    """Re-run a certificate step by step, checking each precondition.
+    """Re-run a certificate step by step against the drop rules.
 
-    True iff every step names live sections, its rule really applies at that
-    moment with exactly the recorded drop set, and the final state is empty.
+    True iff the certificate is bound to this table's hash and to `w`, each
+    step is exactly the drop its rule allows at that place at that moment
+    (same side, same set of sections), and the final state is empty.
+    Raises MalformedCertificate for a step that cannot be read.
     """
     if cert.version != CERTIFICATE_VERSION:
         raise MalformedCertificate(f"unsupported version {cert.version}")
-    if cert.w != w:
+    if cert.table_hash != tt.base.hash or cert.w != w:
         return False
     if context is not None:
         ctx = context
-        sections = ctx.sections
     else:
-        sections = extract_potential_sections(tt, w)
-        ctx = DropContext(tt, w, sections)
-    index = {
-        (tuple(s.row), s.start, s.end): i for i, s in enumerate(sections)
-    }
-    alive = (1 << len(sections)) - 1
-
-    def lookup(obj) -> int | None:
-        try:
-            key = (tuple(obj["row"]), obj["start"], obj["end"])
-        except (KeyError, TypeError) as err:
-            raise MalformedCertificate(f"bad section reference: {obj}") from err
-        i = index.get(key)
-        if i is None or not alive & ctx.bit[i]:
-            return None
-        return i
-
+        ctx = DropContext(tt, w, extract_potential_sections(tt, w))
+    key_of = [(s.row, s.start, s.end) for s in ctx.sections]
+    alive = (1 << len(ctx.sections)) - 1
     for step in cert.steps:
-        rule = step.get("rule")
-        if rule == "i":
-            x = step["column"] - 1
-            act = _rule_i(ctx, alive, x)
-            if act is None:
-                return False
-            side, i = act
-            target = lookup(step["section"])
-            if target is None or side != step["min"] or target != i:
-                return False
-            alive &= ~ctx.bit[i]
-        elif rule == "ii":
-            x = step["column"] - 1
-            secs = _rule_ii(ctx, alive, x)
-            if secs is None:
-                return False
-            listed = [lookup(o) for o in step["sections"]]
-            if None in listed or sorted(listed) != sorted(secs):
-                return False
-            for i in secs:
-                alive &= ~ctx.bit[i]
-        elif rule == "iii":
-            u, v = step["start"] - 1, step["end"] - 1
-            if (u, v) not in ctx.blocks:
-                return False
-            dropped = _rule_iii(ctx, alive, u, v)
-            if dropped is None:
-                return False
-            listed = [lookup(o) for o in step["sections"]]
-            if None in listed or sorted(listed) != sorted(dropped):
-                return False
-            for i in dropped:
-                alive &= ~ctx.bit[i]
-        else:
-            raise MalformedCertificate(f"unknown rule {rule!r}")
+        rule, where, side, keys = _parse_step(ctx, step)
+        if where is None:
+            return False
+        found = _find(ctx, alive, rule, where)
+        if found is None or found[0] != side \
+                or sorted([key_of[i] for i in found[1]]) != keys:
+            return False
+        alive &= ~_mask(ctx, found[1])
     return alive == 0

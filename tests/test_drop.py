@@ -15,8 +15,9 @@ from llschain import (
     is_semicritical,
     lambda_sequence,
     replay_certificate,
+    verify_table,
 )
-from llschain.drop import DropContext, _all_actions
+from llschain.drop import DropContext, _all_actions, _search
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import twist_from_threes
 
@@ -133,13 +134,69 @@ def test_replay_rejects_wrong_w():
 
 
 def test_malformed_certificate_raises():
-    _, tt, w, _ = g22_setup()
+    _, tt, w, secs = g22_setup()
     with pytest.raises(MalformedCertificate):
         DropCertificate.from_json({"version": 1})
-    cert = DropCertificate(g22_example().table_hash(), w,
-                           ({"rule": "iv", "column": 1},))
+    good = drop_all(tt, w, secs).certificate.to_json()
     with pytest.raises(MalformedCertificate):
-        replay_certificate(cert, tt, w)
+        DropCertificate.from_json(dict(good, steps="ab"))
+    for step in (
+        {"rule": "iv", "column": 1},
+        {"rule": "i"},
+        "i",
+        {"rule": "iii", "start": 5},
+        {"rule": "ii", "column": "1", "sections": []},
+        {"rule": "ii", "column": 1.0, "sections": []},
+        {"rule": "i", "column": 1, "min": "a", "section": "row"},
+    ):
+        cert = DropCertificate(g22_example().table_hash(), w, (step,))
+        with pytest.raises(MalformedCertificate):
+            replay_certificate(cert, tt, w)
+
+
+def test_replay_rejects_column_outside_chain():
+    table, tt, w, secs = g22_setup()
+    cert = drop_all(tt, w, secs).certificate
+    steps = list(cert.steps)
+    k = next(k for k, s in enumerate(steps)
+             if s.get("column") == table.n_columns)
+    for column in (0, table.n_columns + 1):
+        steps[k] = dict(steps[k], column=column)
+        bad = DropCertificate(cert.table_hash, cert.w, tuple(steps))
+        assert not replay_certificate(bad, tt, w)
+
+
+def test_replay_binds_certificate_to_its_table():
+    # tables 5 and 10 of the swap-free (21,6,24) family share the default
+    # multidegree, and table 5's steps are valid drops on table 10 too
+    enum = TableEnumerator(21, 6, 24, 0)
+    [(_, t5)] = list(enum.iter_range(5, 1))
+    [(_, t10)] = list(enum.iter_range(10, 1))
+    tt5, tt10 = build_tensor_table(t5), build_tensor_table(t10)
+    w = default_multidegree(t5)
+    assert default_multidegree(t10) == w
+    cert = drop_all(tt5, w).certificate
+    assert replay_certificate(cert, tt5, w)
+    assert not replay_certificate(cert, tt10, w)
+    rebound = DropCertificate(t10.hash, w, cert.steps)
+    assert replay_certificate(rebound, tt10, w)
+
+
+def test_search_certificates_replay():
+    # the greedy schedule never stalls where search succeeds, so the
+    # search's certificates are checked here, from the full state
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    samples = [t for _, t in enum.iter_indices(enum.sample_indices(20, seed=12345))]
+    lengths = []
+    for table in [g22_example()] + samples:
+        tt = build_tensor_table(table)
+        w = verify_table(table).w
+        secs = extract_potential_sections(tt, w)
+        steps, truncated = _search(DropContext(tt, w, secs), (1 << len(secs)) - 1)
+        assert steps is not None and not truncated
+        assert replay_certificate(DropCertificate(table.hash, w, tuple(steps)), tt, w)
+        lengths.append(len(steps))
+    assert lengths[0] == 23
 
 
 def test_certificate_json_round_trip():

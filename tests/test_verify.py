@@ -169,6 +169,21 @@ def test_family_parallel_matches_serial(tmp_path):
     assert serial.passed == parallel.passed == 150
 
 
+def test_family_certificate_stream_pinned():
+    # certificates carry the full step order of the drop engine; these
+    # stream hashes pin it for a swap prefix and a two-swap sample
+    runs = (
+        (dict(g=22, r=6, d=25, stratum="has_swap", limit=200),
+         "282d827d588531fcc86a380d33bc867348da09bed8413f0b367dc293d87f3492"),
+        (dict(g=23, r=6, d=26, stratum="two_swap", mode="sampled", n=100, seed=1),
+         "394e33c433883a27496398bc039763846735d8b8c2e34f0b9d55e05240f6db11"),
+    )
+    for spec, stream_hash in runs:
+        report = verify_family(FamilyConfig(**spec, emit_certificates=True))
+        assert report.passed == report.verified
+        assert report.stream_hash == stream_hash
+
+
 def test_family_sampled_mode(tmp_path):
     config = FamilyConfig(g=22, r=6, d=25, mode="sampled", n=60, seed=7,
                           stratum="swap_free",
