@@ -13,7 +13,12 @@ import sys
 
 from .chain import build_elliptic_chain, left_weighted_weights
 from .drop import drop_all
-from .enumeration import TableEnumerator, count_small_oracle, enumerate_tables
+from .enumeration import (
+    STRATA,
+    TableEnumerator,
+    count_small_oracle,
+    enumerate_tables,
+)
 from .fixtures import g22_example
 from .multidegree import TwistVector, default_multidegree
 from .render import (
@@ -55,9 +60,7 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, default=6)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--rho-max", type=int, default=None)
-    p.add_argument("--stratum", default="all",
-                   choices=["all", "swap_free", "has_swap", "one_swap",
-                            "le1_swap", "two_swap"])
+    p.add_argument("--stratum", default="all", choices=list(STRATA))
 
 
 def _cmd_enumerate(args) -> int:
@@ -184,8 +187,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    rho = args.g - (args.r + 1) * (args.g + args.r - args.d)
-    rho_max = args.rho_max if args.rho_max is not None else min(rho, 2)
+    # the enumerator validates the family and defaults rho_max as count does
+    rho_max = TableEnumerator(args.g, args.r, args.d, args.rho_max).rho_max
     print(count_small_oracle(args.g, args.r, args.d, rho_max))
     return 0
 

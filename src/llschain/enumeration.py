@@ -19,9 +19,8 @@ stratified streams used for the big verification runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .chain import ChainCurve, build_elliptic_chain
 from .table import VanishingTable, rho_accounting, table_from_columns, validate_table
@@ -67,15 +66,20 @@ def _ram_vectors(rows: int, budget: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
-class _Choice:
+class _Choice(NamedTuple):   # a tuple: cheaper to build than a frozen dataclass
     new_a: tuple[int, ...]
+    key: tuple[int, ...]     # new_a sorted: the counting DP's state
     cost: int
     swaps: int
 
 
-def _column_choices(a: tuple[int, ...], budget: int, d: int) -> list[_Choice]:
-    """All valid column continuations from row values ``a``, canonical order."""
+def _column_choices(a: tuple[int, ...], budget: int, d: int,
+                    keys: dict[tuple[int, ...], tuple[int, ...]]) -> list[_Choice]:
+    """All valid column continuations from row values ``a``, canonical order.
+
+    ``keys`` maps each sorted successor to one shared tuple, so the many
+    choices that lead to one DP state hold one key between them.
+    """
     rows = len(a)
     out: list[_Choice] = []
     for delta in list(range(rows)) + [None]:
@@ -105,7 +109,9 @@ def _column_choices(a: tuple[int, ...], budget: int, d: int) -> list[_Choice]:
                         continue
                     if (a[j] - a[k] > 0) != (new_a[j] - new_a[k] > 0):
                         swaps += 1
-            out.append(_Choice(tuple(new_a), base_cost + sum(extra.values()), swaps))
+            key = tuple(sorted(new_a))
+            out.append(_Choice(tuple(new_a), keys.setdefault(key, key),
+                               base_cost + sum(extra.values()), swaps))
     return out
 
 
@@ -136,6 +142,7 @@ class TableEnumerator:
         self.chain: ChainCurve = build_elliptic_chain(g)
         self._memo: dict[tuple, int] = {}
         self._choice_cache: dict[tuple[tuple[int, ...], int], list[_Choice]] = {}
+        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- counting ----------------------------------------------------------
 
@@ -143,7 +150,7 @@ class TableEnumerator:
         key = (a, budget)
         cached = self._choice_cache.get(key)
         if cached is None:
-            cached = _column_choices(a, budget, self.d)
+            cached = _column_choices(a, budget, self.d, self._keys)
             self._choice_cache[key] = cached
         return cached
 
@@ -157,12 +164,8 @@ class TableEnumerator:
             return hit
         total = 0
         for ch in self._choices(vals, budget):
-            total += self._count(
-                i + 1,
-                tuple(sorted(ch.new_a)),
-                budget - ch.cost,
-                min(MAX_BUDGET, swaps + ch.swaps),
-            )
+            total += self._count(i + 1, ch.key, budget - ch.cost,
+                                 min(MAX_BUDGET, swaps + ch.swaps))
         self._memo[key] = total
         return total
 
@@ -179,111 +182,54 @@ class TableEnumerator:
 
     # -- streaming ---------------------------------------------------------
 
-    def _materialize(self, a1: tuple[int, ...], path: list[_Choice]) -> VanishingTable:
+    def _walk(self, i: int, states, skip: int,
+              cols: list[tuple[int, ...]]) -> Iterator[VanishingTable]:
+        """Stream the tables below ``states``, the states after column ``i``,
+        from the ``skip``-th on.
+
+        A state is ``(a, key, budget, swaps)``: its labeled row values, their
+        sorted ``_count`` key, the budget left and the capped swap count.
+        While ``skip`` lasts, whole subtrees are passed over by their count;
+        the first subtree it does not cover is entered with what is left of
+        it, and every leaf after that is streamed.  ``cols`` holds the row
+        values of the path so far.  Callers keep ``skip`` below the total
+        count of ``states``.
+        """
+        entered = False
+        for a, key, budget, swaps in states:
+            sub = self._count(i, key, budget, swaps)
+            if skip >= sub:
+                skip -= sub
+                continue
+            entered = True
+            cols.append(a)
+            if i == self.g:
+                yield self._materialize(cols)
+            else:
+                yield from self._walk(i + 1, (
+                    (ch.new_a, ch.key, budget - ch.cost,
+                     min(MAX_BUDGET, swaps + ch.swaps))
+                    for ch in self._choices(a, budget)
+                ), skip, cols)
+            cols.pop()
+            skip = 0
+        if not entered:
+            # skip was below the summed counts, so some subtree must hold it
+            raise EnumerationError("offset out of range")
+
+    def _materialize(self, cols: list[tuple[int, ...]]) -> VanishingTable:
+        """The table whose column i has a-values cols[i-1] and b = d - cols[i]."""
         d = self.d
-        a_cols = [a1] + [ch.new_a for ch in path[:-1]]
-        b_cols = [
-            tuple(d - v for v in ch.new_a) for ch in path
-        ]
-        return table_from_columns(self.chain, self.r, d, a_cols, b_cols)
+        b_cols = [tuple(d - v for v in a) for a in cols[1:]]
+        return table_from_columns(self.chain, self.r, d, cols[:-1], b_cols)
 
     def iter_range(self, start: int, count: int) -> Iterator[tuple[int, VanishingTable]]:
         """Yield (index, table) for the canonical slice [start, start+count)."""
         if start < 0 or count < 0:
             raise EnumerationError("bad range")
-        produced = 0
-        target = start
-        roots = self._roots()
-        skipped = 0
-        for a1, budget0 in roots:
-            sub = self._count(0, a1, budget0, 0)
-            if target >= skipped + sub:
-                skipped += sub
-                continue
-            offset = target - skipped
-            for got in self._walk_root(a1, budget0, offset, count - produced):
-                yield (target, got)
-                target += 1
-                produced += 1
-            skipped += sub
-            if produced >= count:
-                return
-
-    def _walk_root(self, a1: tuple[int, ...], budget0: int, offset: int,
-                   limit: int) -> Iterator[VanishingTable]:
-        """Walk up to ``limit`` leaves below one root, starting at ``offset``."""
-        if limit <= 0:
-            return
-        g = self.g
-        # frame: [labeled_a, budget, swaps, choices, position]
-        frames: list[list] = []
-        state = (a1, budget0, 0)
-        k = offset
-        for depth in range(g):
-            a, budget, swaps = state
-            choices = self._choices(a, budget)
-            pos = 0
-            while pos < len(choices):
-                ch = choices[pos]
-                sub = self._count(
-                    depth + 1, tuple(sorted(ch.new_a)), budget - ch.cost,
-                    min(MAX_BUDGET, swaps + ch.swaps),
-                )
-                if k < sub:
-                    break
-                k -= sub
-                pos += 1
-            if pos == len(choices):
-                raise EnumerationError("offset out of range")
-            frames.append([a, budget, swaps, choices, pos])
-            ch = choices[pos]
-            state = (ch.new_a, budget - ch.cost, min(MAX_BUDGET, swaps + ch.swaps))
-
-        produced = 0
-        while True:
-            if self._accept(state[2]):
-                yield self._materialize(a1, [f[3][f[4]] for f in frames])
-                produced += 1
-                if produced >= limit:
-                    return
-            # advance the odometer to the next nonempty leaf
-            depth = g - 1
-            while depth >= 0:
-                a, budget, swaps, choices, pos = frames[depth]
-                pos += 1
-                while pos < len(choices):
-                    ch = choices[pos]
-                    if self._count(
-                        depth + 1, tuple(sorted(ch.new_a)), budget - ch.cost,
-                        min(MAX_BUDGET, swaps + ch.swaps),
-                    ) > 0:
-                        break
-                    pos += 1
-                if pos < len(choices):
-                    frames[depth][4] = pos
-                    break
-                frames.pop()
-                depth -= 1
-            if depth < 0:
-                return
-            for lower in range(depth + 1, g):
-                a, budget, swaps, choices, pos = frames[lower - 1]
-                ch = choices[pos]
-                nxt = (ch.new_a, budget - ch.cost, min(MAX_BUDGET, swaps + ch.swaps))
-                lo_choices = self._choices(nxt[0], nxt[1])
-                lo_pos = 0
-                while lo_pos < len(lo_choices):
-                    ch2 = lo_choices[lo_pos]
-                    if self._count(
-                        lower + 1, tuple(sorted(ch2.new_a)), nxt[1] - ch2.cost,
-                        min(MAX_BUDGET, nxt[2] + ch2.swaps),
-                    ) > 0:
-                        break
-                    lo_pos += 1
-                frames.append([nxt[0], nxt[1], nxt[2], lo_choices, lo_pos])
-            last = frames[-1]
-            ch = last[3][last[4]]
-            state = (ch.new_a, last[1] - ch.cost, min(MAX_BUDGET, last[2] + ch.swaps))
+        stop = min(start + count, self.total())  # the walk starts below total
+        roots = ((a1, a1, budget, 0) for a1, budget in self._roots())
+        return zip(range(start, stop), self._walk(0, roots, start, []))
 
     def iter_all(self) -> Iterator[tuple[int, VanishingTable]]:
         return self.iter_range(0, self.total())

@@ -15,7 +15,8 @@ Disjoint-swap and cycle2 verdicts carry the left-weighted requirement as a
 recorded flag with the minimal weight vector attached.
 
 Family runs stream verdicts as JSONL with a chained stream hash, checkpoint
-on table count, partition the enumeration by index ranges for worker
+after every merged chunk (with the JSONL's length, so a resume cuts off
+lines written past it), partition the enumeration by index ranges for worker
 processes, and aggregate a report with per-class counts and the structural
 invariant checks (spanning bound, swap bound, disconnection bound) observed
 along the way.
@@ -23,6 +24,7 @@ along the way.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -48,6 +50,10 @@ from .multidegree import component_degrees  # noqa: F401
 from .table import exceptional_rows, find_swaps, lambda_sequence  # noqa: F401
 
 SIDE_NOT_APPLICABLE = "not_applicable"
+
+# examples kept in chunk counters, checkpoints and reports alike
+_FAILURE_EXAMPLES = 100
+_VIOLATION_EXAMPLES = 20
 
 
 @dataclass
@@ -251,7 +257,6 @@ class FamilyConfig:
     chunk_size: int = 2000
     out_path: str | None = None
     checkpoint_path: str | None = None
-    checkpoint_every: int = 50_000
     emit_certificates: bool = False
     limit: int | None = None
 
@@ -292,9 +297,9 @@ class Report:
             "failed": self.failed,
             "class_counts": self.class_counts,
             "side_counts": self.side_counts,
-            "failures": self.failures[:100],
+            "failures": self.failures[:_FAILURE_EXAMPLES],
             "invariant_violations": self.invariant_violations,
-            "violation_examples": self.violation_examples[:20],
+            "violation_examples": self.violation_examples[:_VIOLATION_EXAMPLES],
             "stream_hash": self.stream_hash,
             "elapsed_seconds": round(self.elapsed_seconds, 3),
             "resumed_from": self.resumed_from,
@@ -313,6 +318,24 @@ def _worker_enumerator(spec: tuple) -> TableEnumerator:
     return enum
 
 
+def _new_counters() -> dict:
+    return {
+        "passed": 0, "failed": 0, "classes": {}, "sides": {},
+        "failures": [], "violations": 0, "violation_examples": [],
+    }
+
+
+def _merge_counters(counters: dict, chunk: dict) -> None:
+    for key in ("passed", "failed", "violations"):
+        counters[key] += chunk[key]
+    for key in ("classes", "sides"):
+        for name, cnt in chunk[key].items():
+            counters[key][name] = counters[key].get(name, 0) + cnt
+    for key, cap in (("failures", _FAILURE_EXAMPLES),
+                     ("violation_examples", _VIOLATION_EXAMPLES)):
+        counters[key] = (counters[key] + chunk[key])[:cap]
+
+
 def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
     spec, payload, emit_certs = args
     enum = _worker_enumerator(spec)
@@ -321,10 +344,7 @@ def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
     else:
         items = enum.iter_indices(list(payload[1]))
     lines: list[str] = []
-    counters: dict = {
-        "passed": 0, "failed": 0, "classes": {}, "sides": {},
-        "failures": [], "violations": 0, "violation_examples": [],
-    }
+    counters = _new_counters()
     for idx, table in items:
         verdict = verify_table(table, index=idx)
         record = verdict.to_json(with_certificate=emit_certs)
@@ -337,13 +357,13 @@ def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
             counters["passed"] += 1
         else:
             counters["failed"] += 1
-            if len(counters["failures"]) < 100:
+            if len(counters["failures"]) < _FAILURE_EXAMPLES:
                 counters["failures"].append(
                     {"index": idx, "table": verdict.table_hash}
                 )
         if verdict.invariant_violations:
             counters["violations"] += len(verdict.invariant_violations)
-            if len(counters["violation_examples"]) < 20:
+            if len(counters["violation_examples"]) < _VIOLATION_EXAMPLES:
                 counters["violation_examples"].append(
                     {"index": idx, "violations": list(verdict.invariant_violations)}
                 )
@@ -373,30 +393,58 @@ def _checkpoint_spec(config: FamilyConfig) -> list:
             config.mode, config.seed, config.n, config.emit_certificates]
 
 
-def _load_checkpoint(config: FamilyConfig) -> tuple[int, str, dict]:
+def _load_checkpoint(config: FamilyConfig) -> dict:
+    """The saved checkpoint, or {} when there is none to resume from."""
     path = config.checkpoint_path
     if not path or not os.path.exists(path):
-        return 0, "", {}
+        return {}
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if obj.get("spec") != _checkpoint_spec(config):
         raise ValueError("checkpoint does not match this run")
-    return obj["done"], obj["stream_hash"], obj.get("counters", {})
+    return obj
+
+
+def _open_output(config: FamilyConfig, checkpoint: dict):
+    """The JSONL handle, cut back to the checkpoint's length on resume.
+
+    Lines written after the last checkpoint (a hard kill leaves them) are
+    dropped, so the resumed file equals the uninterrupted one.
+    """
+    path = config.out_path
+    if not checkpoint:
+        return open(path, "w", encoding="utf-8")
+    length = checkpoint.get("out_bytes")
+    if length is None:
+        raise ValueError(f"checkpoint records no length for {path}")
+    if not os.path.exists(path) or os.path.getsize(path) < length:
+        raise ValueError(f"{path} is missing or shorter than its checkpoint")
+    os.truncate(path, length)
+    return open(path, "a", encoding="utf-8")
 
 
 def _save_checkpoint(config: FamilyConfig, done: int, stream_hash: str,
-                     counters: dict) -> None:
+                     counters: dict, out_fh) -> None:
+    """Atomically record progress, after the JSONL it covers is on disk."""
     if not config.checkpoint_path:
         return
+    out_bytes = None
+    if out_fh:
+        out_fh.flush()
+        os.fsync(out_fh.fileno())
+        out_bytes = os.fstat(out_fh.fileno()).st_size
     payload = {
         "spec": _checkpoint_spec(config),
         "done": done,
         "stream_hash": stream_hash,
         "counters": counters,
+        "out_bytes": out_bytes,
     }
     tmp = config.checkpoint_path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, config.checkpoint_path)
 
 
@@ -416,59 +464,31 @@ def verify_family(config: FamilyConfig) -> Report:
     else:
         stream_total = total
 
-    done, stream_hash, counters = _load_checkpoint(config)
-    resumed_from = done
-    counters.setdefault("passed", 0)
-    counters.setdefault("failed", 0)
-    counters.setdefault("classes", {})
-    counters.setdefault("sides", {})
-    counters.setdefault("failures", [])
-    counters.setdefault("violations", 0)
-    counters.setdefault("violation_examples", [])
-
-    out_fh = None
-    if config.out_path:
-        out_fh = open(config.out_path, "a" if done else "w", encoding="utf-8")
-
-    def merge(lines: list[str], chunk_counters: dict) -> None:
-        nonlocal stream_hash, done
-        for line in lines:
-            if out_fh:
-                out_fh.write(line + "\n")
-            stream_hash = _chain_hash(stream_hash, line)
-        done += len(lines)
-        for key in ("passed", "failed", "violations"):
-            counters[key] += chunk_counters[key]
-        for key in ("classes", "sides"):
-            for name, cnt in chunk_counters[key].items():
-                counters[key][name] = counters[key].get(name, 0) + cnt
-        counters["failures"].extend(
-            chunk_counters["failures"][: max(0, 1000 - len(counters["failures"]))]
-        )
-        counters["violation_examples"].extend(
-            chunk_counters["violation_examples"][
-                : max(0, 20 - len(counters["violation_examples"]))
-            ]
-        )
+    checkpoint = _load_checkpoint(config)
+    done = resumed_from = checkpoint.get("done", 0)
+    stream_hash = checkpoint.get("stream_hash", "")
+    counters = checkpoint.get("counters") or _new_counters()
 
     spec = config.spec_key()
     tasks = ((spec, payload, config.emit_certificates)
              for payload in _chunks(config, stream_total, done))
-    try:
+    with contextlib.ExitStack() as stack:
+        out_fh = None
+        if config.out_path:
+            out_fh = stack.enter_context(_open_output(config, checkpoint))
+        results = map(_verify_chunk, tasks)
         if config.jobs > 1:
-            with multiprocessing.get_context("fork").Pool(config.jobs) as pool:
-                for lines, chunk_counters in pool.imap(_verify_chunk, tasks):
-                    merge(lines, chunk_counters)
-                    _save_checkpoint(config, done, stream_hash, counters)
-        else:
-            for task in tasks:
-                merge(*_verify_chunk(task))
-                if done % config.checkpoint_every < config.chunk_size:
-                    _save_checkpoint(config, done, stream_hash, counters)
-    finally:
-        if out_fh:
-            out_fh.close()
-    _save_checkpoint(config, done, stream_hash, counters)
+            pool = stack.enter_context(
+                multiprocessing.get_context("fork").Pool(config.jobs))
+            results = pool.imap(_verify_chunk, tasks)
+        for lines, chunk_counters in results:
+            for line in lines:
+                if out_fh:
+                    out_fh.write(line + "\n")
+                stream_hash = _chain_hash(stream_hash, line)
+            done += len(lines)
+            _merge_counters(counters, chunk_counters)
+            _save_checkpoint(config, done, stream_hash, counters, out_fh)
 
     return Report(
         g=config.g, r=config.r, d=config.d,

@@ -31,6 +31,10 @@ def test_cli_enumerate_limit(capsys):
 def test_cli_oracle(capsys):
     assert main(["oracle", "--g", "4", "--r", "1", "--d", "3"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+    # the same families count rejects: rho = -2, and rho_max above rho = 0
+    assert main(["oracle", "--g", "4", "--r", "1", "--d", "2"]) == 2
+    assert main(["oracle", "--g", "6", "--r", "1", "--d", "4", "--rho-max", "1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_inspect_example(capsys):

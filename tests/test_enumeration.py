@@ -11,7 +11,7 @@ from llschain import (
     rho_accounting,
     validate_table,
 )
-from llschain.enumeration import TableEnumerator
+from llschain.enumeration import STRATA, TableEnumerator
 
 
 def hook_length_count(rows, cols):
@@ -77,14 +77,20 @@ def test_stream_deterministic_and_sliceable():
     assert pieces == full
 
 
-def test_indices_align_with_stream():
-    enum = TableEnumerator(5, 1, 4, 1)
+# every stratum of (6,1,5) is non-empty (444 tables in all, 9 with two swaps)
+@pytest.mark.parametrize("g,r,d,rho_max,stratum", [(5, 1, 4, 1, "all")] + [
+    (6, 1, 5, 2, stratum) for stratum in STRATA
+])
+def test_indices_align_with_stream(g, r, d, rho_max, stratum):
+    enum = TableEnumerator(g, r, d, rho_max, stratum)
     stream = list(enum.iter_all())
+    assert stream
     for idx, table in stream:
         got = list(enum.iter_range(idx, 1))
         assert len(got) == 1
         assert got[0][0] == idx
         assert got[0][1] == table
+    assert list(enum.iter_range(enum.total(), 3)) == []
 
 
 def test_strata_partition_counts():
@@ -146,6 +152,26 @@ def test_enumerate_guards():
         TableEnumerator(23, 6, 26, None, "bogus")
     with pytest.raises(EnumerationError):
         list(enumerate_tables(6, 1, 4, 0, mode="sampled"))
+    enum = TableEnumerator(5, 1, 4, 1)
+    with pytest.raises(EnumerationError):
+        list(enum.iter_range(-1, 1))
+    with pytest.raises(EnumerationError):
+        list(enum.iter_range(0, -1))
+    with pytest.raises(EnumerationError):
+        list(enum.iter_indices([3, 2]))
+    with pytest.raises(EnumerationError):
+        list(enum.iter_indices([2, 2]))
+
+
+def test_walk_rejects_counts_its_subtrees_do_not_hold():
+    enum = TableEnumerator(5, 1, 4, 1)
+    total = enum.total()
+    a1, budget = enum._roots()[-1]
+    enum._memo[(0, a1, budget, 0)] += 1  # one leaf too many below the last root
+    assert enum.total() == total + 1
+    assert len(list(enum.iter_range(0, total))) == total
+    with pytest.raises(EnumerationError, match="offset out of range"):
+        list(enum.iter_range(total, 1))
 
 
 def test_oracle_rejects_large_spaces():

@@ -143,6 +143,65 @@ def test_family_checkpoint_resume_hash_equality(tmp_path):
         (tmp_path / "full.jsonl").read_text()
 
 
+def test_family_resume_drops_lines_past_checkpoint(tmp_path):
+    # a hard kill can leave verdict lines written after the last checkpoint;
+    # the resumed run cuts them off before it writes them again
+    base = dict(g=22, r=6, d=25, stratum="has_swap", chunk_size=40)
+    full = tmp_path / "full.jsonl"
+    verify_family(FamilyConfig(**base, limit=200, out_path=str(full)))
+    resumed = tmp_path / "resumed.jsonl"
+    ck = tmp_path / "resume.ck"
+    verify_family(FamilyConfig(**base, limit=80, out_path=str(resumed),
+                               checkpoint_path=str(ck)))
+    past = full.read_text().splitlines(keepends=True)[80:82]
+    with open(resumed, "a", encoding="utf-8") as fh:
+        fh.writelines(past)
+    report = verify_family(FamilyConfig(**base, limit=120, out_path=str(resumed),
+                                        checkpoint_path=str(ck)))
+    assert report.resumed_from == 80 and report.verified == 200
+    assert resumed.read_text() == full.read_text()
+
+
+def test_family_resume_rejects_output_it_cannot_cut(tmp_path):
+    out, ck = tmp_path / "c.jsonl", tmp_path / "c.ck"
+    base = dict(g=21, r=6, d=24, rho_max=0, chunk_size=20,
+                checkpoint_path=str(ck))
+    verify_family(FamilyConfig(**base, limit=40, out_path=str(out)))
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(lines[:39]))
+    with pytest.raises(ValueError, match="shorter"):
+        verify_family(FamilyConfig(**base, limit=20, out_path=str(out)))
+    out.unlink()
+    with pytest.raises(ValueError, match="missing"):
+        verify_family(FamilyConfig(**base, limit=20, out_path=str(out)))
+    # a checkpoint of a run without JSONL output records no length
+    ck.unlink()
+    verify_family(FamilyConfig(**base, limit=20))
+    out.write_text("".join(lines[:20]))
+    with pytest.raises(ValueError, match="no length"):
+        verify_family(FamilyConfig(**base, limit=20, out_path=str(out)))
+
+
+def test_family_checkpoint_after_every_chunk(tmp_path, monkeypatch):
+    from llschain import verify as verify_module
+
+    saved = []
+    save = verify_module._save_checkpoint
+
+    def recording(config, done, *rest):
+        saved.append(done)
+        save(config, done, *rest)
+
+    monkeypatch.setattr(verify_module, "_save_checkpoint", recording)
+    base = dict(g=21, r=6, d=24, rho_max=0, limit=60, chunk_size=20)
+    for jobs in (1, 2):
+        saved.clear()
+        ck = tmp_path / f"j{jobs}.ck"
+        verify_family(FamilyConfig(**base, jobs=jobs, checkpoint_path=str(ck)))
+        assert saved == [20, 40, 60]
+        assert json.loads(ck.read_text())["done"] == 60
+
+
 def test_family_resume_rejects_other_sample_size(tmp_path):
     base = dict(g=22, r=6, d=25, mode="sampled", seed=7, chunk_size=20,
                 out_path=str(tmp_path / "s.jsonl"),
