@@ -10,16 +10,18 @@ choices that invert the relative order of two rows.
 
 Enumeration order is canonical: ramification vectors first, then per-column
 choices ordered by (delta row, slack assignment), so the stream of tables is
-reproducible and can be partitioned by index ranges.  Subtree sizes come
-from an exact dynamic program on sorted value tuples, which also powers
-uniform deterministic sampling (unranking seeded random indices) and the
-stratified streams used for the big verification runs.
+reproducible and can be partitioned by index ranges.  Column choices are
+generated valid by construction, never filtered.  Subtree sizes come from an
+exact dynamic program on sorted value tuples whose value is a vector: the
+completions that add no swap, one swap, and two or more.  One pass serves
+every stratum; it powers uniform deterministic sampling (unranking seeded
+random indices) and the stratified streams used for the big verification
+runs.
 """
 
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .chain import ChainCurve, build_elliptic_chain
@@ -39,20 +41,6 @@ STRATA: dict[str, Callable[[int], bool]] = {
 
 class EnumerationError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _slack_menu(rows: int, spare: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Slack assignments (row, extra) with total extra <= spare, canonical order."""
-    menu: list[tuple[tuple[int, int], ...]] = [()]
-    if spare >= 1:
-        menu += [((j, 1),) for j in range(rows)]
-    if spare >= 2:
-        menu += [((j, 2),) for j in range(rows)]
-        menu += [
-            ((j1, 1), (j2, 1)) for j1 in range(rows) for j2 in range(j1 + 1, rows)
-        ]
-    return tuple(menu)
 
 
 def _ram_vectors(rows: int, budget: int) -> list[tuple[int, ...]]:
@@ -77,41 +65,77 @@ def _column_choices(a: tuple[int, ...], budget: int, d: int,
                     keys: dict[tuple[int, ...], tuple[int, ...]]) -> list[_Choice]:
     """All valid column continuations from row values ``a``, canonical order.
 
+    Only valid choices are built.  For each delta row the base successor
+    keeps the delta row's value and lifts every other row by one; it can
+    collide only where the row just below the delta row lands on it, and
+    then that row must take slack.  A slack row is admitted when its new
+    value is at most ``d`` and free, or freed by the other slack row.
+
     ``keys`` maps each sorted successor to one shared tuple, so the many
     choices that lead to one DP state hold one key between them.
     """
     rows = len(a)
     out: list[_Choice] = []
-    for delta in list(range(rows)) + [None]:
-        base_cost = 0 if delta is not None else 1
-        if base_cost > budget:
+
+    def emit(new_a: list[int], cost: int, swaps: int) -> None:
+        key = tuple(sorted(new_a))
+        out.append(_Choice(tuple(new_a), keys.setdefault(key, key), cost, swaps))
+
+    full = [j for j in range(rows) if a[j] >= d]   # rows that cannot gain one
+    if len(full) > 1:
+        return out
+    held = set(a)
+    lifted = {v + 1: j for j, v in enumerate(a)}   # value -> row, every row up one
+    for delta in full or [*range(rows), None]:
+        cost = 0 if delta is not None else 1
+        spare = budget - cost
+        if spare < 0:
             continue
-        for slack in _slack_menu(rows, budget - base_cost):
-            if delta is not None and any(j == delta for j, _ in slack):
-                continue
-            extra = dict(slack)
-            new_a = list(a)
-            ok = True
-            for j in range(rows):
-                if j == delta:
-                    continue
-                v = a[j] + 1 + extra.get(j, 0)
-                if v > d:
-                    ok = False
-                    break
+        base = [v + 1 for v in a]
+        occ = lifted
+        clash = None
+        if delta is not None:
+            stay = base[delta] = a[delta]
+            occ = dict(lifted)
+            del occ[stay + 1]
+            clash = occ.get(stay)   # the row just below the delta row
+            occ[stay] = delta
+        if clash is None:
+            emit(base, cost, 0)
+        if not spare:
+            continue
+        # A clash leaves one mover.  A row given one extra overtakes only a
+        # delta row just above it (so only the clashing row swaps); given
+        # two, it overtakes the row just above it or a delta row two above.
+        movers = range(rows) if clash is None else (clash,)
+        for j in movers:
+            v = a[j] + 2
+            if j != delta and v <= d and v not in occ:
+                new_a = base.copy()
                 new_a[j] = v
-            if not ok or len(set(new_a)) != rows:
+                emit(new_a, cost + 1, int(j == clash))
+        if spare < 2:
+            continue
+        for j in movers:
+            v = a[j] + 3
+            if j != delta and v <= d and v not in occ:
+                new_a = base.copy()
+                new_a[j] = v
+                emit(new_a, cost + 2, (v - 2 in held)
+                     + (delta is not None and a[delta] == v - 1))
+        for j1 in range(rows):
+            v1 = a[j1] + 2
+            if j1 == delta or v1 > d:
                 continue
-            swaps = 0
-            for j, _ in slack:
-                for k in range(rows):
-                    if k == j or (k in extra and k < j):
-                        continue
-                    if (a[j] - a[k] > 0) != (new_a[j] - new_a[k] > 0):
-                        swaps += 1
-            key = tuple(sorted(new_a))
-            out.append(_Choice(tuple(new_a), keys.setdefault(key, key),
-                               base_cost + sum(extra.values()), swaps))
+            for j2 in range(j1 + 1, rows):
+                v2 = a[j2] + 2
+                if (j2 == delta or v2 > d or clash not in (None, j1, j2)
+                        or occ.get(v1, j2) != j2 or occ.get(v2, j1) != j1):
+                    continue
+                new_a = base.copy()
+                new_a[j1] = v1
+                new_a[j2] = v2
+                emit(new_a, cost + 2, int(clash is not None))
     return out
 
 
@@ -138,9 +162,14 @@ class TableEnumerator:
         self.g, self.r, self.d = g, r, d
         self.rho, self.rho_max = rho, rho_max
         self.stratum = stratum
-        self._accept = STRATA[stratum]
+        accept = STRATA[stratum]
+        # _weights[s][t]: 1 when s swaps so far and t more (capped) are accepted
+        self._weights = [
+            tuple(int(accept(min(MAX_BUDGET, s + t))) for t in range(3))
+            for s in range(3)
+        ]
         self.chain: ChainCurve = build_elliptic_chain(g)
-        self._memo: dict[tuple, int] = {}
+        self._memo: dict[tuple, tuple[int, int, int]] = {}
         self._choice_cache: dict[tuple[tuple[int, ...], int], list[_Choice]] = {}
         self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
 
@@ -154,20 +183,32 @@ class TableEnumerator:
             self._choice_cache[key] = cached
         return cached
 
-    def _count(self, i: int, vals: tuple[int, ...], budget: int, swaps: int) -> int:
-        """Completions of a state after column i (vals sorted ascending)."""
+    def _vector(self, i: int, vals: tuple[int, ...],
+                budget: int) -> tuple[int, int, int]:
+        """Completions of a state after column i (vals sorted ascending),
+        split by the swaps they add: none, one, two or more."""
         if i == self.g:
-            return 1 if self._accept(swaps) else 0
-        key = (i, vals, budget, swaps)
+            return (1, 0, 0)
+        key = (i, vals, budget)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        total = 0
+        n0 = n1 = n2 = 0
         for ch in self._choices(vals, budget):
-            total += self._count(i + 1, ch.key, budget - ch.cost,
-                                 min(MAX_BUDGET, swaps + ch.swaps))
-        self._memo[key] = total
-        return total
+            c0, c1, c2 = self._vector(i + 1, ch.key, budget - ch.cost)
+            if ch.swaps:   # a column choice adds at most one swap
+                n1, n2 = n1 + c0, n2 + c1 + c2
+            else:
+                n0, n1, n2 = n0 + c0, n1 + c1, n2 + c2
+        vec = self._memo[key] = (n0, n1, n2)
+        return vec
+
+    def _count(self, i: int, vals: tuple[int, ...], budget: int, swaps: int) -> int:
+        """Completions of a state after column i that the stratum accepts,
+        given the capped swap count ``swaps`` of the path so far."""
+        n0, n1, n2 = self._vector(i, vals, budget)
+        w0, w1, w2 = self._weights[swaps]
+        return w0 * n0 + w1 * n1 + w2 * n2
 
     def _roots(self) -> list[tuple[tuple[int, ...], int]]:
         """Initial (a^1, remaining budget) states in canonical order."""
@@ -243,9 +284,12 @@ class TableEnumerator:
     def iter_indices(self, indices) -> Iterator[tuple[int, VanishingTable]]:
         """Yield (index, table) for an ascending list of stratum indices."""
         prev = None
+        total = self.total()
         for idx in indices:
             if prev is not None and idx <= prev:
                 raise EnumerationError("indices must be strictly ascending")
+            if idx >= total:
+                raise EnumerationError(f"index {idx} out of range ({total} tables)")
             for _, table in self.iter_range(idx, 1):
                 yield (idx, table)
             prev = idx

@@ -1,6 +1,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llschain import (
     EnumerationError,
@@ -11,7 +13,7 @@ from llschain import (
     rho_accounting,
     validate_table,
 )
-from llschain.enumeration import STRATA, TableEnumerator
+from llschain.enumeration import STRATA, TableEnumerator, _Choice, _column_choices
 
 
 def hook_length_count(rows, cols):
@@ -94,14 +96,19 @@ def test_indices_align_with_stream(g, r, d, rho_max, stratum):
 
 
 def test_strata_partition_counts():
-    base = TableEnumerator(23, 6, 26).total()
-    parts = [
-        TableEnumerator(23, 6, 26, None, s).total()
-        for s in ("swap_free", "one_swap", "two_swap")
-    ]
-    assert sum(parts) == base
-    assert TableEnumerator(23, 6, 26, None, "le1_swap").total() == sum(parts[:2])
-    assert TableEnumerator(23, 6, 26, None, "has_swap").total() == sum(parts[1:])
+    # 0/1/2-swap split of each family
+    for (g, r, d), parts in (
+        ((23, 6, 26), [85_928_999_442, 45_719_165_492, 6_201_981_786]),
+        ((22, 6, 25), [457_271_100, 128_035_908, 0]),
+    ):
+        got = [
+            TableEnumerator(g, r, d, None, s).total()
+            for s in ("swap_free", "one_swap", "two_swap")
+        ]
+        assert got == parts, (g, r, d)
+        assert TableEnumerator(g, r, d).total() == sum(parts)
+        assert TableEnumerator(g, r, d, None, "le1_swap").total() == sum(parts[:2])
+        assert TableEnumerator(g, r, d, None, "has_swap").total() == sum(parts[1:])
 
 
 def test_stratum_streams_respect_predicate():
@@ -161,13 +168,19 @@ def test_enumerate_guards():
         list(enum.iter_indices([3, 2]))
     with pytest.raises(EnumerationError):
         list(enum.iter_indices([2, 2]))
+    total = enum.total()
+    with pytest.raises(EnumerationError):
+        list(enum.iter_indices([total]))
+    with pytest.raises(EnumerationError):
+        list(enum.iter_indices([0, total + 2]))
 
 
 def test_walk_rejects_counts_its_subtrees_do_not_hold():
     enum = TableEnumerator(5, 1, 4, 1)
     total = enum.total()
     a1, budget = enum._roots()[-1]
-    enum._memo[(0, a1, budget, 0)] += 1  # one leaf too many below the last root
+    n0, n1, n2 = enum._memo[(0, a1, budget)]
+    enum._memo[(0, a1, budget)] = (n0 + 1, n1, n2)  # one leaf too many below the last root
     assert enum.total() == total + 1
     assert len(list(enum.iter_range(0, total))) == total
     with pytest.raises(EnumerationError, match="offset out of range"):
@@ -188,3 +201,98 @@ def test_swap_detection_matches_enumerator_costs():
         swaps = find_swaps(table)
         assert len(swaps) == 1
         assert swaps[0].minimal
+
+
+# -- column choices against a brute-force reference -------------------------
+
+
+def _slack_menu(rows, spare):
+    """Slack assignments (row, extra) with total extra <= spare, canonical order."""
+    menu = [()]
+    if spare >= 1:
+        menu += [((j, 1),) for j in range(rows)]
+    if spare >= 2:
+        menu += [((j, 2),) for j in range(rows)]
+        menu += [
+            ((j1, 1), (j2, 1)) for j1 in range(rows) for j2 in range(j1 + 1, rows)
+        ]
+    return menu
+
+
+def _reference_choices(a, budget, d, keys):
+    """Every (delta row, slack) combination, built and then filtered."""
+    rows = len(a)
+    out = []
+    for delta in list(range(rows)) + [None]:
+        base_cost = 0 if delta is not None else 1
+        if base_cost > budget:
+            continue
+        for slack in _slack_menu(rows, budget - base_cost):
+            if delta is not None and any(j == delta for j, _ in slack):
+                continue
+            extra = dict(slack)
+            new_a = list(a)
+            ok = True
+            for j in range(rows):
+                if j == delta:
+                    continue
+                v = a[j] + 1 + extra.get(j, 0)
+                if v > d:
+                    ok = False
+                    break
+                new_a[j] = v
+            if not ok or len(set(new_a)) != rows:
+                continue
+            swaps = 0
+            for j, _ in slack:
+                for k in range(rows):
+                    if k == j or (k in extra and k < j):
+                        continue
+                    if (a[j] - a[k] > 0) != (new_a[j] - new_a[k] > 0):
+                        swaps += 1
+            key = tuple(sorted(new_a))
+            out.append(_Choice(tuple(new_a), keys.setdefault(key, key),
+                               base_cost + sum(extra.values()), swaps))
+    return out
+
+
+def _assert_choices_match(a, budget, d):
+    keys, ref_keys = {}, {}
+    got = _column_choices(a, budget, d, keys)
+    # _Choice equality covers new_a, key, cost and swaps, in order
+    assert got == _reference_choices(a, budget, d, ref_keys), (a, budget, d)
+    assert keys == ref_keys
+    assert all(ch.key is keys[ch.key] for ch in got)
+    assert all(ch.swaps <= 1 for ch in got)  # the counting DP relies on this
+
+
+@pytest.mark.parametrize("g,r,d,rho_max,stratum", [
+    (6, 1, 5, 2, "all"),
+    (8, 2, 8, 2, "all"),
+    (23, 6, 26, None, "two_swap"),
+])
+def test_column_choices_match_reference_on_count(g, r, d, rho_max, stratum):
+    enum = TableEnumerator(g, r, d, rho_max, stratum)
+    enum.total()
+    assert enum._choice_cache
+    for a, budget in enum._choice_cache:
+        _assert_choices_match(a, budget, d)
+
+
+def test_column_choices_match_reference_on_labeled_walk():
+    # the walk asks for choices from labeled, unsorted row values too
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    indices = enum.sample_indices(300, seed=12345)
+    counted = set(enum._choice_cache)
+    list(enum.iter_indices(indices))
+    labeled = enum._choice_cache.keys() - counted
+    assert any(list(a) != sorted(a) for a, _ in labeled)
+    for a, budget in labeled:
+        _assert_choices_match(a, budget, enum.d)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=7, unique=True),
+       st.integers(0, 2), st.integers(0, 4))
+def test_column_choices_match_reference_property(a, budget, lift):
+    _assert_choices_match(tuple(a), budget, max(a) + lift)
