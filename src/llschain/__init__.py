@@ -18,8 +18,6 @@ from .drop import (
     DropResult,
     MalformedCertificate,
     drop_all,
-    is_critical,
-    is_semicritical,
     replay_certificate,
 )
 from .enumeration import (
@@ -33,7 +31,6 @@ from .multidegree import (
     MultidegreeError,
     ThresholdNotAttained,
     TwistVector,
-    candidate_multidegrees,
     component_degrees,
     default_multidegree,
     default_threes,
@@ -69,11 +66,9 @@ from .table import (
 from .tensor import (
     PotentialSection,
     TensorTable,
-    appearance_flags,
     build_tensor_table,
     extract_potential_sections,
     pair_list,
-    spanning_count,
 )
 from .verify import (
     FamilyConfig,

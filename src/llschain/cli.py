@@ -64,6 +64,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"limit must be non-negative, got {args.limit}")
     stream = enumerate_tables(
         args.g, args.r, args.d, args.rho_max,
         mode=args.mode, n=args.n, seed=args.seed, stratum=args.stratum,

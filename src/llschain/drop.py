@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multidegree import TwistVector, component_degrees
+from .multidegree import MultidegreeError, TwistVector, component_degrees
 from .tensor import PotentialSection, TensorTable, extract_potential_sections
 
 CERTIFICATE_VERSION = 1
@@ -330,7 +330,7 @@ class DropCertificate:
                 steps=tuple(obj["steps"]),
                 version=obj["version"],
             )
-        except (KeyError, TypeError) as err:
+        except (KeyError, TypeError, MultidegreeError) as err:
             raise MalformedCertificate(str(err)) from err
 
 
@@ -343,20 +343,6 @@ class DropResult:
 
     def __bool__(self) -> bool:
         return self.success
-
-
-def is_semicritical(tt: TensorTable, w: TwistVector, column: int,
-                    remaining: list[PotentialSection]) -> bool:
-    ctx = DropContext(tt, w, list(remaining))
-    alive = (1 << len(remaining)) - 1
-    return _semicritical(ctx, alive, column - 1) > 0
-
-
-def is_critical(tt: TensorTable, w: TwistVector, column: int,
-                remaining: list[PotentialSection]) -> bool:
-    ctx = DropContext(tt, w, list(remaining))
-    alive = (1 << len(remaining)) - 1
-    return _semicritical(ctx, alive, column - 1) == 2
 
 
 def drop_all(tt: TensorTable, w: TwistVector,

@@ -41,14 +41,6 @@ class TwistVector:
     def n_components(self) -> int:
         return len(self.c) + 1
 
-    def entry(self, i: int) -> int:
-        """c_i for i = 1..N+1, including both conventions."""
-        if i == 1:
-            return 0
-        if i == self.n_components + 1:
-            return self.D
-        return self.c[i - 2]
-
     def extended(self) -> tuple[int, ...]:
         """1-indexed (_, c_1, ..., c_{N+1}) with the end conventions filled in."""
         return (0, 0, *self.c, self.D)
@@ -62,7 +54,14 @@ class TwistVector:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TwistVector":
-        return cls(obj["D"], tuple(obj["c"]))
+        """Inverse of :meth:`to_json`; malformed JSON raises MultidegreeError."""
+        try:
+            D, c = obj["D"], tuple(obj["c"])
+        except (KeyError, TypeError) as err:
+            raise MultidegreeError(f"malformed twist vector JSON: {err!r}") from err
+        if not all(type(v) is int for v in (D, *c)):
+            raise MultidegreeError("twist vector JSON needs integers D and c")
+        return cls(D, c)
 
 
 def component_degrees(w: TwistVector, chain: ChainCurve | None = None) -> tuple[int, ...]:
@@ -279,8 +278,3 @@ def iter_candidate_multidegrees(table: VanishingTable):
             if threes not in seen:
                 seen.add(threes)
                 yield twist_from_threes(chain, d, threes)
-
-
-def candidate_multidegrees(table: VanishingTable) -> list[TwistVector]:
-    """The candidate sequence of :func:`iter_candidate_multidegrees` as a list."""
-    return list(iter_candidate_multidegrees(table))

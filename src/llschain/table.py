@@ -120,14 +120,22 @@ class VanishingTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VanishingTable":
-        a_rows, b_rows = obj["a"], obj["b"]
-        r = obj["r"]
-        n = len(a_rows[0])
-        genera = obj.get("genera")
-        chain = ChainCurve(tuple(genera) if genera else (1,) * n)
-        a = tuple(tuple(a_rows[j][i] for j in range(r + 1)) for i in range(n))
-        b = tuple(tuple(b_rows[j][i] for j in range(r + 1)) for i in range(n))
-        return cls(chain, r, obj["d"], a, b)
+        """Inverse of :meth:`to_json`; malformed JSON raises TableError."""
+        try:
+            r, d, a_rows, b_rows = obj["r"], obj["d"], obj["a"], obj["b"]
+            n = len(a_rows[0])
+            genera = obj.get("genera") or [1] * n
+            rows = [*a_rows, *b_rows]
+            entries = [r, d, *genera, *(v for row in rows for v in row)]
+        except (KeyError, TypeError, AttributeError, IndexError) as err:
+            raise TableError(f"malformed table JSON: {err!r}") from err
+        if (any(type(v) is not int for v in entries)
+                or not len(a_rows) == len(b_rows) == r + 1
+                or any(len(row) != n for row in rows)):
+            raise TableError("table JSON needs integers r and d, and r + 1 "
+                             "rows of equally many integers in a and in b")
+        a, b = tuple(zip(*a_rows)), tuple(zip(*b_rows))
+        return cls(ChainCurve(tuple(genera)), r, d, a, b)
 
     def table_hash(self) -> str:
         payload = "%d;%d;%s;%s;%s" % (

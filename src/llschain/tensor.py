@@ -62,38 +62,6 @@ def build_tensor_table(table: VanishingTable) -> TensorTable:
 
 
 @dataclass(frozen=True)
-class AppearFlags:
-    appearing: bool
-    starting: bool
-    ending: bool
-
-
-def _check_w(tt: TensorTable, w: TwistVector) -> tuple[int, ...]:
-    if w.n_components != tt.n_columns:
-        raise MultidegreeError("twist vector length disagrees with table")
-    if w.D != tt.d2:
-        raise MultidegreeError(f"expected total degree {tt.d2}, got {w.D}")
-    if not w.bounded:
-        raise MultidegreeError("twist vector is not bounded")
-    return w.extended()
-
-
-def appearance_flags(tt: TensorTable, w: TwistVector, i: int,
-                     pair: tuple[int, int]) -> AppearFlags:
-    """Per-column appear/start/end flags of one row (column i is 1-based)."""
-    ext = _check_w(tt, w)
-    n = tt.n_columns
-    p = tt.pair_index(pair)
-    a = tt.ta[i - 1][p]
-    b = tt.tb[i - 1][p]
-    left, right = ext[i], tt.d2 - ext[i + 1]
-    appearing = a >= left and b >= right
-    starting = appearing and (i == 1 or a > left)
-    ending = appearing and (i == n or b > right)
-    return AppearFlags(appearing, starting, ending)
-
-
-@dataclass(frozen=True)
 class PotentialSection:
     """Maximal support interval of one tensor row, columns 1-based inclusive."""
 
@@ -110,9 +78,15 @@ class PotentialSection:
 
 def extract_potential_sections(tt: TensorTable, w: TwistVector) -> list[PotentialSection]:
     """All potential sections in row-major order, left to right within a row."""
-    ext = _check_w(tt, w)
     n = tt.n_columns
     d2 = tt.d2
+    if w.n_components != n:
+        raise MultidegreeError("twist vector length disagrees with table")
+    if w.D != d2:
+        raise MultidegreeError(f"expected total degree {d2}, got {w.D}")
+    if not w.bounded:
+        raise MultidegreeError("twist vector is not bounded")
+    ext = w.extended()
     out = []
     for p, pair in enumerate(tt.pairs):
         x = 0
@@ -136,11 +110,3 @@ def extract_potential_sections(tt: TensorTable, w: TwistVector) -> list[Potentia
             if s <= e:
                 out.append(PotentialSection(pair, s + 1, e + 1))
     return out
-
-
-def spanning_count(tt: TensorTable, w: TwistVector, i: int,
-                   sections: list[PotentialSection] | None = None) -> int:
-    """Number of potential sections covering both column i and column i+1."""
-    if sections is None:
-        sections = extract_potential_sections(tt, w)
-    return sum(1 for s in sections if s.start <= i and s.end >= i + 1)

@@ -54,6 +54,8 @@ SIDE_NOT_APPLICABLE = "not_applicable"
 # examples kept in chunk counters, checkpoints and reports alike
 _FAILURE_EXAMPLES = 100
 _VIOLATION_EXAMPLES = 20
+# tables per worker task, and per checkpoint
+_CHUNK_SIZE = 2000
 
 
 @dataclass
@@ -209,27 +211,18 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
         if not replay_certificate(result.certificate, tt, w, context=context):
             diagnostics.append(f"candidate {pos}: certificate does not replay")
             continue
-        return Verdict(
-            table_hash=table.hash,
-            degeneracy=klass,
-            passing=True,
-            w=w,
-            certificate=result.certificate,
-            side_condition=side,
-            left_weighted_required=lw_required,
-            left_weighted_min=lw_min,
-            candidates_tried=tried,
-            rho_total=breakdown.total,
-            invariant_violations=violations,
-            index=index,
-        )
+        certificate = result.certificate
+        diagnostics = []  # a passing verdict reports no diagnostics
+        break
+    else:
+        w, certificate, side = None, None, "none"
     return Verdict(
         table_hash=table.hash,
         degeneracy=klass,
-        passing=False,
-        w=None,
-        certificate=None,
-        side_condition="none",
+        passing=certificate is not None,
+        w=w,
+        certificate=certificate,
+        side_condition=side,
         left_weighted_required=lw_required,
         left_weighted_min=lw_min,
         candidates_tried=tried,
@@ -254,7 +247,6 @@ class FamilyConfig:
     seed: int = 0
     stratum: str = "all"
     jobs: int = 1
-    chunk_size: int = 2000
     out_path: str | None = None
     checkpoint_path: str | None = None
     emit_certificates: bool = False
@@ -375,7 +367,7 @@ def _chunks(config: FamilyConfig, total: int, skip: int):
         end = total if config.limit is None else min(total, skip + config.limit)
         pos = skip
         while pos < end:
-            size = min(config.chunk_size, end - pos)
+            size = min(_CHUNK_SIZE, end - pos)
             yield ("range", pos, size)
             pos += size
     else:
@@ -383,8 +375,8 @@ def _chunks(config: FamilyConfig, total: int, skip: int):
         indices = enum.sample_indices(config.n or 0, config.seed)
         if config.limit is not None:
             indices = indices[: skip + config.limit]
-        for lo in range(skip, len(indices), config.chunk_size):
-            yield ("indices", tuple(indices[lo : lo + config.chunk_size]))
+        for lo in range(skip, len(indices), _CHUNK_SIZE):
+            yield ("indices", tuple(indices[lo : lo + _CHUNK_SIZE]))
 
 
 def _checkpoint_spec(config: FamilyConfig) -> list:
@@ -455,6 +447,8 @@ def _chain_hash(prev: str, line: str) -> str:
 def verify_family(config: FamilyConfig) -> Report:
     """Verify a whole (g, r, d) stratum, streaming verdicts to JSONL."""
     started = time.time()
+    if config.limit is not None and config.limit < 0:
+        raise ValueError(f"limit must be non-negative, got {config.limit}")
     enum = _worker_enumerator(config.spec_key())
     total = enum.total()
     if config.mode == "sampled":

@@ -82,10 +82,23 @@ def test_cli_left_weighted(capsys):
     assert capsys.readouterr().out.strip() == "10100,100,1"
 
 
-def test_cli_flag_errors():
+def test_cli_flag_errors(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["enumerate"])  # missing required flags
     assert main(["inspect"]) == 2  # no table given
+    # malformed --w and --table JSON: a missing key or a wrong type
+    assert main(["drop", "--example", "--w", '{"c": [1]}']) == 2
+    assert main(["drop", "--example", "--w", "[1, 2]"]) == 2
+    table = tmp_path / "t.json"
+    table.write_text('{"r": 1}')
+    assert main(["inspect", "--table", str(table)]) == 2
+    # a negative limit is not a slice from the end
+    assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
+                 "--mode", "sampled", "--n", "6", "--seed", "1",
+                 "--limit", "-4"]) == 2
+    assert main(["enumerate", "--g", "6", "--r", "1", "--d", "4",
+                 "--limit", "-1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_multidegree_header_matches_paper_layout():

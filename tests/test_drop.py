@@ -11,13 +11,11 @@ from llschain import (
     drop_all,
     extract_potential_sections,
     g22_example,
-    is_critical,
-    is_semicritical,
     lambda_sequence,
     replay_certificate,
     verify_table,
 )
-from llschain.drop import DropContext, _all_actions, _search
+from llschain.drop import DropContext, _all_actions, _search, _semicritical
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import twist_from_threes
 
@@ -70,13 +68,19 @@ def test_single_section_drops_by_rule_i():
     assert result.certificate.steps[0]["rule"] == "i"
 
 
+def semicritical_level(tt, w, column, remaining):
+    """0 none, 1 semicritical, 2 critical, with only `remaining` alive."""
+    full = (1 << len(remaining)) - 1
+    return _semicritical(DropContext(tt, w, remaining), full, column - 1)
+
+
 def test_semicritical_thresholds():
     table, tt, w, secs = g22_setup()
     lam = lambda_sequence(table)
     # column 7 with only its three starting sections left: critical
     remaining = [s for s in secs if s.start >= 7]
-    assert is_semicritical(tt, w, 7, remaining)
-    assert is_critical(tt, w, 7, remaining)
+    assert semicritical_level(tt, w, 7, remaining) > 0
+    assert semicritical_level(tt, w, 7, remaining) == 2
     # column 8 has no delta (delta_8 = 0 exists; column 10 has delta_10 = 1)
     assert lam.delta[8] == 0
     # a column whose genus-1 delta is missing can never be semicritical:
@@ -90,7 +94,7 @@ def test_semicritical_thresholds():
         tt2 = build_tensor_table(t2)
         w2 = default_multidegree(t2)
         secs2 = extract_potential_sections(tt2, w2)
-        assert not is_semicritical(tt2, w2, missing[0], secs2)
+        assert semicritical_level(tt2, w2, missing[0], secs2) == 0
         break
     else:
         pytest.skip("no missing-delta table in sample")
@@ -102,7 +106,7 @@ def test_semicritical_sum_threshold():
     table, tt, w, secs = g22_setup()
     # column 9 carries the swap; with every section remaining, the minima at
     # column 9 come from sections whose values add to less than 2d-2
-    assert not is_semicritical(tt, w, 9, secs)
+    assert semicritical_level(tt, w, 9, secs) == 0
 
 
 def test_replay_rejects_transposed_steps():
@@ -138,8 +142,9 @@ def test_malformed_certificate_raises():
     with pytest.raises(MalformedCertificate):
         DropCertificate.from_json({"version": 1})
     good = drop_all(tt, w, secs).certificate.to_json()
-    with pytest.raises(MalformedCertificate):
-        DropCertificate.from_json(dict(good, steps="ab"))
+    for bad in (dict(good, steps="ab"), dict(good, w={"c": [1]})):
+        with pytest.raises(MalformedCertificate):
+            DropCertificate.from_json(bad)
     for step in (
         {"rule": "iv", "column": 1},
         {"rule": "i"},

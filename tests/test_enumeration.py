@@ -42,7 +42,8 @@ def test_rho1_count_matches_oracle():
 
 def test_more_oracle_agreement():
     for (g, r, d, rho_max) in [(5, 1, 4, 0), (4, 1, 3, 0), (6, 2, 6, 0),
-                               (5, 2, 6, 1)]:
+                               (5, 2, 6, 1), (4, 1, 4, 2), (5, 1, 5, 2),
+                               (6, 1, 5, 2), (5, 2, 6, 2)]:
         enum = TableEnumerator(g, r, d, rho_max)
         assert enum.total() == count_small_oracle(g, r, d, rho_max), (g, r, d)
 

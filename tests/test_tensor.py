@@ -1,16 +1,34 @@
 import random
 
 from llschain import (
-    appearance_flags,
     build_tensor_table,
     default_multidegree,
     extract_potential_sections,
     g22_example,
     pair_list,
-    spanning_count,
 )
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import twist_from_threes
+
+
+def _flags(tt, w, i, pair):
+    """(appearing, starting, ending) of one row in column i (1-based).
+
+    Taken from the module docstring: a >= c_i and b >= 2d - c_{i+1}, strict
+    for starting (ending), with strictness relaxed in column 1 (N).
+    """
+    ext = w.extended()
+    p = tt.pair_index(pair)
+    a, b = tt.ta[i - 1][p], tt.tb[i - 1][p]
+    left, right = ext[i], tt.d2 - ext[i + 1]
+    appearing = a >= left and b >= right
+    return (appearing, appearing and (i == 1 or a > left),
+            appearing and (i == tt.n_columns or b > right))
+
+
+def _spanning(sections, i):
+    """Number of sections covering both column i and column i + 1."""
+    return sum(1 for s in sections if s.start <= i < s.end)
 
 
 def naive_sections(tt, w):
@@ -18,24 +36,22 @@ def naive_sections(tt, w):
     n = tt.n_columns
     out = []
     for pair in tt.pairs:
-        flags = {
-            i: appearance_flags(tt, w, i, pair) for i in range(1, n + 1)
-        }
+        flags = {i: _flags(tt, w, i, pair) for i in range(1, n + 1)}
         candidates = []
         for u in range(1, n + 1):
-            if not flags[u].starting:
+            if not flags[u][1]:
                 continue
             for v in range(u, n + 1):
-                if not all(flags[i].appearing for i in range(u, v + 1)):
+                if not all(flags[i][0] for i in range(u, v + 1)):
                     continue
-                if flags[v].ending:
+                if flags[v][2]:
                     candidates.append((u, v))
         keep = [
             (u, v)
             for (u, v) in candidates
             if not any(
                 (u2 <= u and v <= v2) and (u2, v2) != (u, v)
-                and all(flags[i].appearing for i in range(u2, v2 + 1))
+                and all(flags[i][0] for i in range(u2, v2 + 1))
                 for (u2, v2) in candidates
             )
         ]
@@ -68,9 +84,9 @@ def test_appearance_flags_g22():
     table = g22_example()
     tt = build_tensor_table(table)
     w = default_multidegree(table)
-    flags = appearance_flags(tt, w, 1, (0, 0))
-    assert flags.appearing and flags.starting
-    assert not appearance_flags(tt, w, 2, (0, 0)).appearing
+    appearing, starting, _ = _flags(tt, w, 1, (0, 0))
+    assert appearing and starting
+    assert not _flags(tt, w, 2, (0, 0))[0]
 
 
 def test_appearance_boundary_cases():
@@ -83,12 +99,12 @@ def test_appearance_boundary_cases():
         for pair in tt.pairs:
             p = tt.pair_index(pair)
             a, b = tt.ta[i - 1][p], tt.tb[i - 1][p]
-            fl = appearance_flags(tt, w, i, pair)
+            appearing, starting, ending = _flags(tt, w, i, pair)
             if a == ext[i] and b == 50 - ext[i + 1]:
-                assert fl.appearing and not fl.starting and not fl.ending
+                assert appearing and not starting and not ending
                 hits += 1
             if a < ext[i]:
-                assert not fl.appearing
+                assert not appearing
     assert hits > 0
 
 
@@ -137,9 +153,9 @@ def test_spanning_counts_g22():
     tt = build_tensor_table(table)
     w = default_multidegree(table)
     secs = extract_potential_sections(tt, w)
-    spans = [spanning_count(tt, w, i, secs) for i in range(1, 22)]
+    spans = [_spanning(secs, i) for i in range(1, 22)]
     assert max(spans) <= 3
-    assert spanning_count(tt, w, 1, secs) == 1  # only (0,1) crosses 1 -> 2
+    assert _spanning(secs, 1) == 1  # only (0,1) crosses 1 -> 2
     assert min(spans) >= 1
 
 
@@ -163,5 +179,5 @@ def test_spanning_count_four_attainable_off_default():
     tt = build_tensor_table(table)
     w = twist_from_threes(table.chain, table.d, (1, 8, 15, 16, 17, 21))
     secs = extract_potential_sections(tt, w)
-    assert spanning_count(tt, w, 14, secs) == 4
-    assert all(spanning_count(tt, w, i, secs) <= 4 for i in range(1, 21))
+    assert _spanning(secs, 14) == 4
+    assert all(_spanning(secs, i) <= 4 for i in range(1, 21))

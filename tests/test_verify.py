@@ -11,6 +11,7 @@ from llschain import (
     verify_table,
 )
 from llschain import table as table_module
+from llschain import verify as verify_module
 from llschain.enumeration import TableEnumerator
 from llschain.verify import FamilyConfig, verify_family
 
@@ -107,10 +108,11 @@ def test_verdict_json_shape():
     assert full["certificate"]["version"] == 1
 
 
-def test_family_run_and_report(tmp_path):
+def test_family_run_and_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 50)
     out = tmp_path / "verdicts.jsonl"
     config = FamilyConfig(g=21, r=6, d=24, rho_max=0, limit=120,
-                          out_path=str(out), chunk_size=50)
+                          out_path=str(out))
     report = verify_family(config)
     assert report.failed == 0
     assert report.verified == 120
@@ -122,8 +124,9 @@ def test_family_run_and_report(tmp_path):
     assert first["pass"] and first["index"] == 0
 
 
-def test_family_checkpoint_resume_hash_equality(tmp_path):
-    base = dict(g=22, r=6, d=25, stratum="has_swap", chunk_size=40)
+def test_family_checkpoint_resume_hash_equality(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    base = dict(g=22, r=6, d=25, stratum="has_swap")
     full_cfg = FamilyConfig(**base, limit=200,
                             out_path=str(tmp_path / "full.jsonl"))
     full = verify_family(full_cfg)
@@ -143,10 +146,11 @@ def test_family_checkpoint_resume_hash_equality(tmp_path):
         (tmp_path / "full.jsonl").read_text()
 
 
-def test_family_resume_drops_lines_past_checkpoint(tmp_path):
+def test_family_resume_drops_lines_past_checkpoint(tmp_path, monkeypatch):
     # a hard kill can leave verdict lines written after the last checkpoint;
     # the resumed run cuts them off before it writes them again
-    base = dict(g=22, r=6, d=25, stratum="has_swap", chunk_size=40)
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    base = dict(g=22, r=6, d=25, stratum="has_swap")
     full = tmp_path / "full.jsonl"
     verify_family(FamilyConfig(**base, limit=200, out_path=str(full)))
     resumed = tmp_path / "resumed.jsonl"
@@ -162,10 +166,10 @@ def test_family_resume_drops_lines_past_checkpoint(tmp_path):
     assert resumed.read_text() == full.read_text()
 
 
-def test_family_resume_rejects_output_it_cannot_cut(tmp_path):
+def test_family_resume_rejects_output_it_cannot_cut(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 20)
     out, ck = tmp_path / "c.jsonl", tmp_path / "c.ck"
-    base = dict(g=21, r=6, d=24, rho_max=0, chunk_size=20,
-                checkpoint_path=str(ck))
+    base = dict(g=21, r=6, d=24, rho_max=0, checkpoint_path=str(ck))
     verify_family(FamilyConfig(**base, limit=40, out_path=str(out)))
     lines = out.read_text().splitlines(keepends=True)
     out.write_text("".join(lines[:39]))
@@ -183,8 +187,6 @@ def test_family_resume_rejects_output_it_cannot_cut(tmp_path):
 
 
 def test_family_checkpoint_after_every_chunk(tmp_path, monkeypatch):
-    from llschain import verify as verify_module
-
     saved = []
     save = verify_module._save_checkpoint
 
@@ -193,7 +195,8 @@ def test_family_checkpoint_after_every_chunk(tmp_path, monkeypatch):
         save(config, done, *rest)
 
     monkeypatch.setattr(verify_module, "_save_checkpoint", recording)
-    base = dict(g=21, r=6, d=24, rho_max=0, limit=60, chunk_size=20)
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 20)
+    base = dict(g=21, r=6, d=24, rho_max=0, limit=60)
     for jobs in (1, 2):
         saved.clear()
         ck = tmp_path / f"j{jobs}.ck"
@@ -202,8 +205,9 @@ def test_family_checkpoint_after_every_chunk(tmp_path, monkeypatch):
         assert json.loads(ck.read_text())["done"] == 60
 
 
-def test_family_resume_rejects_other_sample_size(tmp_path):
-    base = dict(g=22, r=6, d=25, mode="sampled", seed=7, chunk_size=20,
+def test_family_resume_rejects_other_sample_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 20)
+    base = dict(g=22, r=6, d=25, mode="sampled", seed=7,
                 out_path=str(tmp_path / "s.jsonl"),
                 checkpoint_path=str(tmp_path / "s.ck"))
     verify_family(FamilyConfig(**base, n=60, limit=40))
@@ -211,8 +215,9 @@ def test_family_resume_rejects_other_sample_size(tmp_path):
         verify_family(FamilyConfig(**base, n=200))
 
 
-def test_family_resume_rejects_other_certificate_flag(tmp_path):
-    base = dict(g=21, r=6, d=24, rho_max=0, chunk_size=20,
+def test_family_resume_rejects_other_certificate_flag(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 20)
+    base = dict(g=21, r=6, d=24, rho_max=0,
                 out_path=str(tmp_path / "c.jsonl"),
                 checkpoint_path=str(tmp_path / "c.ck"))
     verify_family(FamilyConfig(**base, limit=40))
@@ -220,8 +225,9 @@ def test_family_resume_rejects_other_certificate_flag(tmp_path):
         verify_family(FamilyConfig(**base, limit=20, emit_certificates=True))
 
 
-def test_family_parallel_matches_serial(tmp_path):
-    base = dict(g=21, r=6, d=24, rho_max=0, limit=150, chunk_size=30)
+def test_family_parallel_matches_serial(tmp_path, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 30)
+    base = dict(g=21, r=6, d=24, rho_max=0, limit=150)
     serial = verify_family(FamilyConfig(**base, jobs=1))
     parallel = verify_family(FamilyConfig(**base, jobs=2))
     assert serial.stream_hash == parallel.stream_hash
@@ -264,7 +270,7 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
         default_multidegree,
         extract_potential_sections,
     )
-    from llschain.multidegree import candidate_multidegrees, degree_three_columns
+    from llschain.multidegree import iter_candidate_multidegrees
 
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     [(_, table)] = list(enum.iter_range(3_876_400_372, 1))
@@ -275,7 +281,7 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
     row = (klass.j0 - 1, klass.j0)
     default_secs = [s for s in extract_potential_sections(tt, w0) if s.row == row]
     assert len(default_secs) == 2
-    cands = candidate_multidegrees(table)
+    cands = list(iter_candidate_multidegrees(table))
     assert any(
         klass.i0 in degree_three_columns(c, table.chain)
         or klass.i1 in degree_three_columns(c, table.chain)
