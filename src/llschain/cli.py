@@ -99,7 +99,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs or int(os.environ.get("LLSCHAIN_JOBS", "1"))
+    jobs = args.jobs
+    if jobs is None:
+        jobs = int(os.environ.get("LLSCHAIN_JOBS", "1"))
     config = FamilyConfig(
         g=args.g, r=args.r, d=args.d, rho_max=args.rho_max,
         mode=args.mode, n=args.n, seed=args.seed, stratum=args.stratum,

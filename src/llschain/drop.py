@@ -31,6 +31,16 @@ which drop a rule allows at a column or block in a given state, and
 of its table and to `w`; replay accepts it iff each step is exactly the
 drop its rule allows at that place at that moment (same rule, same side,
 same set of sections) and nothing remains at the end.
+
+`_find` reads the state only through the mask of the place it is asked
+about: `alive & cover[x]` at a column x (rules i and ii), the live sections
+covering x, and `alive & reach[(u, v)]` on a block (rule iii), the live
+sections meeting it.  Its answer is a function of that masked state.  The
+greedy schedule records, per place, the masked state at which `_find` last
+found nothing there, and skips the place while that state is unchanged:
+the skipped call would find nothing again, so the schedule, and with it
+every certificate, is the one the greedy without skips produces.  Search
+and replay keep no such record and ask `_find` at every place they visit.
 """
 
 from __future__ import annotations
@@ -38,7 +48,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .multidegree import MultidegreeError, TwistVector, component_degrees
-from .tensor import PotentialSection, TensorTable, extract_potential_sections
+from .tensor import (
+    PotentialSection,
+    TensorTable,
+    extract_potential_sections,
+    pair_positions,
+)
 
 CERTIFICATE_VERSION = 1
 
@@ -51,11 +66,17 @@ class MalformedCertificate(ValueError):
 
 
 class DropContext:
-    """Static data shared by all rule evaluations for one (table, w) pair."""
+    """Static data shared by all rule evaluations for one (table, w) pair.
+
+    ``cover[x]`` is the mask of sections covering column x, and
+    ``reach[(u, v)]`` the mask of sections meeting block (u, v), i.e. the OR
+    of ``cover[u..v]``; bit i stands for ``sections[i]``.
+    """
 
     __slots__ = (
         "n", "d2", "genera", "degree", "delta", "exc", "sections", "pair_of",
         "ta", "tb", "start0", "end0", "by_col", "bit", "blocks", "dd_pair",
+        "cover", "reach",
     )
 
     def __init__(self, tt: TensorTable, w: TwistVector,
@@ -65,33 +86,39 @@ class DropContext:
         self.d2 = 2 * base.d
         self.genera = base.chain.genera
         self.degree = component_degrees(w, base.chain)
-        self.delta = list(base.shape.delta[1:])
-        exc = base.exceptional
-        self.exc = [frozenset(j for (c, j) in exc if c == x + 1) for x in range(self.n)]
+        self.delta = base.shape.delta[1:]
+        self.exc = [col.exc for col in base.columns]
         self.sections = sections
-        self.pair_of = [tt.pair_index(s.row) for s in sections]
+        pos = pair_positions(base.r)
+        self.pair_of = [pos[s.row] for s in sections]
         self.ta = tt.ta
         self.tb = tt.tb
         self.start0 = [s.start - 1 for s in sections]
         self.end0 = [s.end - 1 for s in sections]
         self.by_col = [[] for _ in range(self.n)]
+        self.cover = [0] * self.n
+        self.bit = [1 << idx for idx in range(len(sections))]
         for idx, s in enumerate(sections):
             for x in range(s.start - 1, s.end):
                 self.by_col[x].append(idx)
-        self.bit = [1 << idx for idx in range(len(sections))]
-        self.dd_pair = [
-            tt.pair_index((dj, dj)) if dj is not None else None for dj in self.delta
-        ]
+                self.cover[x] |= self.bit[idx]
+        self.dd_pair = [pos[dj, dj] if dj is not None else None
+                        for dj in self.delta]
+        self.reach = {}
         self.blocks = self._candidate_blocks()
 
     def _candidate_blocks(self) -> list[tuple[int, int]]:
         out = []
+        cover, reach = self.cover, self.reach
         for u in range(self.n):
             if self.genera[u] != 1:
                 continue
+            mask = cover[u]
             for v in range(u + 1, self.n):
+                mask |= cover[v]
                 if self.genera[v] == 1:
                     out.append((u, v))
+                    reach[u, v] = mask
                 # interior from u+1 to v must all have degree 2
                 if self.degree[v] != 2:
                     break
@@ -129,23 +156,18 @@ def _rule_iii(ctx: DropContext, alive: int, block: tuple[int, int],
               anchored: bool):
     """Rule (iii) on block (u, v): every live section meeting the block."""
     u, v = block
-    secs_u = ctx.alive_at(alive, u)
-    secs_v = ctx.alive_at(alive, v)
-    if len(secs_u) > 3 or len(secs_v) > 3:
+    cover = ctx.cover
+    at_u = alive & cover[u]
+    at_v = alive & cover[v]
+    if at_u.bit_count() > 3 or at_v.bit_count() > 3:
         return None
-    if anchored and (not secs_u or not secs_v):
+    if anchored and (not at_u or not at_v):
         return None
-    dropped = [
-        i for i in range(len(ctx.sections))
-        if alive & ctx.bit[i] and ctx.start0[i] <= v and ctx.end0[i] >= u
-    ]
+    dropped = alive & ctx.reach[block]
     if not dropped:
         return None
     for k in range(u, v):
-        crossing = sum(
-            1 for i in dropped if ctx.start0[i] <= k and ctx.end0[i] >= k + 1
-        )
-        if crossing > 3:
+        if (dropped & cover[k] & cover[k + 1]).bit_count() > 3:
             return None
     level_u = _semicritical(ctx, alive, u)
     if not level_u:
@@ -153,11 +175,12 @@ def _rule_iii(ctx: DropContext, alive: int, block: tuple[int, int],
     level_v = _semicritical(ctx, alive, v)
     if not level_v:
         return None
-    arm_left = level_u == 2 and not any(ctx.end0[i] == u for i in dropped)
-    arm_right = level_v == 2 and not any(ctx.start0[i] == v for i in dropped)
+    secs = [i for i in range(len(ctx.sections)) if dropped >> i & 1]
+    arm_left = level_u == 2 and not any(ctx.end0[i] == u for i in secs)
+    arm_right = level_v == 2 and not any(ctx.start0[i] == v for i in secs)
     if not (arm_left or arm_right):
         return None
-    return (None, dropped)
+    return (None, secs)
 
 
 def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False):
@@ -172,22 +195,22 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     if rule == "iii":
         return _rule_iii(ctx, alive, where, anchored)
     x = where
-    if rule == "ii" and ctx.genera[x] != 1:
-        return None
-    secs = ctx.alive_at(alive, x)
-    if not secs:
+    live = alive & ctx.cover[x]
+    if not live:
         return None
     if rule == "ii":
-        if len(secs) > 2:
+        if ctx.genera[x] != 1 or live.bit_count() > 2:
             return None
+        secs = ctx.alive_at(alive, x)
         for i in secs:
             for j in ctx.sections[i].row:
                 if j in ctx.exc[x]:
                     return None
         return (None, secs)
     # rule (i): a unique minimal a-value, else a unique minimal b-value
-    if len(secs) == 1:
-        return ("a", secs)
+    if not live & (live - 1):
+        return ("a", [live.bit_length() - 1])
+    secs = ctx.alive_at(alive, x)
     ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
     best_a = best_b = None
     lo_a = lo_b = None
@@ -231,28 +254,39 @@ def _mask(ctx: DropContext, secs: list[int]) -> int:
 
 
 def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
-    n = ctx.n
+    n, cover = ctx.n, ctx.cover
     sweep = [*range(n), *reversed(range(n))]
     # after the rule-(i) sweeps stall: rule (ii), then blocks anchored by
-    # live sections at both endpoints, then the liberal rule (iii)
-    fallbacks = ([("ii", x, False) for x in range(n)]
-                 + [("iii", b, True) for b in ctx.blocks]
-                 + [("iii", b, False) for b in ctx.blocks])
+    # live sections at both endpoints, then the liberal rule (iii); each
+    # place carries the mask its rule reads the state through
+    fallbacks = ([("ii", x, False, cover[x]) for x in range(n)]
+                 + [("iii", b, True, ctx.reach[b]) for b in ctx.blocks]
+                 + [("iii", b, False, ctx.reach[b]) for b in ctx.blocks])
+    # the masked state at which _find last found nothing at each place; an
+    # empty state finds nothing anywhere, so 0 serves as the start value
+    idle_i = [0] * n
+    idle = [0] * len(fallbacks)
     while alive:
         progress = False
         for x in sweep:
+            if alive & cover[x] == idle_i[x]:
+                continue
             while (found := _find(ctx, alive, "i", x)) is not None:
                 steps.append(_step(ctx, "i", x, *found))
                 alive &= ~_mask(ctx, found[1])
                 progress = True
+            idle_i[x] = alive & cover[x]
         if progress:
             continue
-        for rule, where, anchored in fallbacks:
+        for k, (rule, where, anchored, reads) in enumerate(fallbacks):
+            if alive & reads == idle[k]:
+                continue
             found = _find(ctx, alive, rule, where, anchored)
             if found is not None:
                 steps.append(_step(ctx, rule, where, *found))
                 alive &= ~_mask(ctx, found[1])
                 break
+            idle[k] = alive & reads
         else:
             break
     return alive

@@ -19,6 +19,19 @@ identity
     initial_ramification + box_removals + missing_deltas = rho - end_slack,
 
 which is what bounds all degeneracy by rho.
+
+Column-local facts are hash-consed: :func:`column` keeps one :class:`Column`
+per distinct ``(genus, d, a_i, b_i)``, holding the column's tensor sums, its
+in-column swaps, exceptional rows and box-adding row, and its share of the
+checks of :func:`validate_table`.  Families repeat their columns heavily (a
+few hundred distinct columns across tens of thousands of tables), so each
+fact is computed once per distinct column rather than once per table.  The
+shape rows ``lam[i]``, ``bar_lam[i]`` and ``bar_counts[i]`` are cached the
+same way on ``(a^{i+1}, g(i))``.  Both caches are cleared whenever they
+reach ``_CACHE_CAP`` entries, which bounds their memory on runs that touch
+many columns, such as uniform samples.  The free functions
+:func:`lambda_sequence`, :func:`find_swaps` and :func:`exceptional_rows`
+compute the same facts afresh from the whole table.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .chain import ChainCurve
 
@@ -80,10 +93,11 @@ class VanishingTable:
     ``a[i][j]`` and ``b[i][j]`` are 0-indexed in the column i; the public
     column numbering used in errors, swaps and certificates is 1-based.
 
-    The derived facts ``shape``, ``swaps``, ``exceptional`` and ``hash`` are
-    computed on first use, by the free functions of this module and by
-    :meth:`table_hash`, and cached on the table, so each is computed once
-    per table however many readers it has.
+    The derived facts ``columns``, ``shape``, ``swaps``, ``exceptional`` and
+    ``hash`` are computed on first use and cached on the table, so each is
+    computed once per table however many readers it has.  ``columns`` are
+    the interned :class:`Column` objects; the next three are assembled from
+    them, and ``hash`` is :meth:`table_hash`.
     """
 
     chain: ChainCurve
@@ -144,20 +158,162 @@ class VanishingTable:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @cached_property
+    def columns(self) -> tuple[Column, ...]:
+        d = self.d
+        return tuple(column(genus, d, ai, bi)
+                     for genus, ai, bi in zip(self.chain.genera, self.a, self.b))
+
+    @cached_property
     def shape(self) -> LambdaSequence:
-        return lambda_sequence(self)
+        """:func:`lambda_sequence`, assembled from cached rows and columns."""
+        cols, a, genera = self.columns, self.a, self.chain.genera
+        n = len(cols)
+        prev, bar, counts = _shape_row(a[0], 0)
+        lam_rows, bar_rows, count_rows = [prev], [bar], [counts]
+        delta: list[int | None] = [None]
+        gi = 0
+        for i, col in enumerate(cols, 1):
+            gi += genera[i - 1]
+            nxt = a[i] if i < n else col.next_a
+            row, bar, counts = _shape_row(nxt, gi)
+            if nxt == col.next_a:
+                delta.append(col.box)
+            else:  # not refined at this node: compare the rows themselves
+                delta.append(next((j for j, (v, u) in enumerate(zip(row, prev))
+                                   if v > u), None))
+            lam_rows.append(row)
+            bar_rows.append(bar)
+            count_rows.append(counts)
+            prev = row
+        return LambdaSequence(tuple(lam_rows), tuple(bar_rows), tuple(delta),
+                              tuple(count_rows))
 
     @cached_property
     def swaps(self) -> tuple[Swap, ...]:
-        return tuple(find_swaps(self))
+        return tuple(Swap(i, (j, k), minimal)
+                     for i, col in enumerate(self.columns, 1)
+                     for j, k, minimal in col.swaps)
 
     @cached_property
     def exceptional(self) -> frozenset[tuple[int, int]]:
-        return frozenset(exceptional_rows(self))
+        return frozenset((i, j) for i, col in enumerate(self.columns, 1)
+                         for j in col.exc)
 
     @cached_property
     def hash(self) -> str:
         return self.table_hash()
+
+
+@lru_cache(maxsize=None)
+def pair_list(r: int) -> tuple[tuple[int, int], ...]:
+    """Unordered row pairs (j <= j'), sorted by total then first entry."""
+    pairs = [(j1, j2) for j1 in range(r + 1) for j2 in range(j1, r + 1)]
+    pairs.sort(key=lambda p: (p[0] + p[1], p[0]))
+    return tuple(pairs)
+
+
+# entries per cache before it is cleared: a full column cache holds about
+# 1.2 MB (1.1 kB per column), a full shape-row cache about 0.4 MB
+_CACHE_CAP = 1024
+_NO_ROWS: frozenset[int] = frozenset()
+_COLUMNS: dict[tuple, "Column"] = {}
+_SHAPE_ROWS: dict[tuple, tuple] = {}
+
+
+class Column:
+    """The facts of one column (a, b) of genus `genus` that no other column
+    affects.  Built once per distinct key by :func:`column`.
+
+    ``height`` is the row count (-1 when a and b differ in length).
+    ``next_a`` is d - b, the refined a-column of the next component.
+    ``ta``/``tb`` are the tensor sums over :func:`pair_list`.  ``swaps``
+    holds ``(j, k, minimal)`` per order inversion, ``exc`` the rows below
+    sum d - 1 (genus 1) or d (genus 0), and ``box`` the first row with
+    genus + a_j + b_j > d, which is the column's delta whenever the next
+    column's a equals ``next_a``.  ``fault`` is the first sign, duplicate or
+    sum violation as (exception class, arguments after the column), and
+    ``generic`` the genericity message, if any.
+    """
+
+    __slots__ = ("genus", "height", "next_a", "ta", "tb", "swaps", "exc",
+                 "box", "fault", "generic")
+
+    def __init__(self, genus: int, d: int, a: tuple[int, ...],
+                 b: tuple[int, ...]):
+        h = len(a)
+        self.genus = genus
+        self.height = h if len(b) == h else -1
+        self.next_a = tuple(d - bj for bj in b)
+        self.ta = self.tb = None
+        self.swaps, self.exc, self.box = (), _NO_ROWS, None
+        self.fault = self.generic = None
+        if self.height < 0:
+            return
+        rows = range(h)
+        pairs = pair_list(h - 1)
+        self.ta = tuple(a[j1] + a[j2] for j1, j2 in pairs)
+        self.tb = tuple(b[j1] + b[j2] for j1, j2 in pairs)
+        sums = [a[j] + b[j] for j in rows]
+        self.swaps = tuple(
+            (j, k, abs(a[j] - a[k]) == 1 and abs(b[j] - b[k]) == 1
+             and (sums[j] == d or sums[k] == d))
+            for j in rows for k in range(j + 1, h)
+            if (a[j] - a[k] > 0) == (b[j] - b[k] > 0)
+        )
+        bound = d - 1 if genus == 1 else d
+        self.exc = frozenset(j for j in rows if sums[j] < bound) or _NO_ROWS
+        self.box = next((j for j in rows if genus + sums[j] > d), None)
+        self.fault = _column_fault(d, a, b, sums)
+        full = sums.count(d)
+        if genus == 1 and full > 1:
+            self.generic = "two rows of sum d in a genus-1 column"
+        elif genus != 1 and full != h:
+            self.generic = "genus-0 column with a row below sum d"
+
+
+def _column_fault(d: int, a, b, sums) -> tuple | None:
+    """The first per-column violation, in :func:`validate_table`'s order."""
+    for j in range(len(a)):
+        if a[j] < 0:
+            return NegativeOrder, (j, "a")
+        if b[j] < 0:
+            return NegativeOrder, (j, "b")
+    if len(set(a)) != len(a):
+        return DuplicateVanishing, ("a",)
+    if len(set(b)) != len(b):
+        return DuplicateVanishing, ("b",)
+    for j, total in enumerate(sums):
+        if total > d:
+            return SumExceedsD, (j,)
+    return None
+
+
+def _cache_put(cache: dict, key, value):
+    if len(cache) >= _CACHE_CAP:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+def column(genus: int, d: int, a: tuple[int, ...],
+           b: tuple[int, ...]) -> Column:
+    """The interned :class:`Column` of (genus, d, a, b)."""
+    key = (genus, d, a, b)
+    col = _COLUMNS.get(key)
+    if col is None:
+        col = _cache_put(_COLUMNS, key, Column(genus, d, a, b))
+    return col
+
+
+def _shape_row(nxt: tuple[int, ...], gi: int) -> tuple:
+    """(lam, bar_lam, bar_counts) rows for a^{i+1} = nxt and g(i) = gi."""
+    key = (nxt, gi)
+    row = _SHAPE_ROWS.get(key)
+    if row is None:
+        lam = tuple(gi + j - v for j, v in enumerate(nxt))
+        bar = tuple(gi + j - v for j, v in enumerate(sorted(nxt)))
+        row = _cache_put(_SHAPE_ROWS, key, (lam, bar, _bar_counts(bar)))
+    return row
 
 
 def table_from_columns(chain: ChainCurve, r: int, d: int,
@@ -194,44 +350,34 @@ def validate_table(table: VanishingTable,
 
     Columns are reported 1-based.  Genus-1 columns admit at most one row of
     sum d; genus-0 columns must have every row at sum d unless
-    ``allow_exceptional_genus0`` is set.
+    ``allow_exceptional_genus0`` is set.  The phases run in a fixed order:
+    per-column checks (height, signs, duplicates, sums) column by column,
+    then first-column order, then refinedness, then genericity; all but the
+    order and refinedness phases read the cached :class:`Column` verdicts.
     """
     n, r, d = table.n_columns, table.r, table.d
     if n != table.chain.n_components:
         raise TableError("table width disagrees with chain length")
     if n < 1 or r < 0 or d < 0:
         raise TableError("dimensions out of range")
-    for i in range(n):
-        ai, bi = table.a[i], table.b[i]
-        if len(ai) != r + 1 or len(bi) != r + 1:
-            raise TableError(f"column {i + 1} has wrong height")
-        for j in range(r + 1):
-            if ai[j] < 0:
-                raise NegativeOrder(i + 1, j, "a")
-            if bi[j] < 0:
-                raise NegativeOrder(i + 1, j, "b")
-        if len(set(ai)) != r + 1:
-            raise DuplicateVanishing(i + 1, "a")
-        if len(set(bi)) != r + 1:
-            raise DuplicateVanishing(i + 1, "b")
-        for j in range(r + 1):
-            if ai[j] + bi[j] > d:
-                raise SumExceedsD(i + 1, j)
+    cols = table.columns
+    for i, col in enumerate(cols, 1):
+        if col.height != r + 1:
+            raise TableError(f"column {i} has wrong height")
+        if col.fault is not None:
+            kind, args = col.fault
+            raise kind(i, *args)
     for j in range(r):
         if table.a[0][j] >= table.a[0][j + 1]:
             raise CanonicalOrderViolation("first column must be strictly increasing")
     for i in range(1, n):
-        for j in range(r + 1):
-            if table.a[i][j] != d - table.b[i - 1][j]:
-                raise RefinednessViolation(i + 1, j)
-    for i in range(n):
-        ai, bi = table.a[i], table.b[i]
-        full = sum(1 for j in range(r + 1) if ai[j] + bi[j] == d)
-        if table.chain.genera[i] == 1:
-            if full > 1:
-                raise GenericityViolation(i + 1, "two rows of sum d in a genus-1 column")
-        elif full != r + 1 and not allow_exceptional_genus0:
-            raise GenericityViolation(i + 1, "genus-0 column with a row below sum d")
+        expected = cols[i - 1].next_a
+        if table.a[i] != expected:
+            j = next(j for j in range(r + 1) if table.a[i][j] != expected[j])
+            raise RefinednessViolation(i + 1, j)
+    for i, col in enumerate(cols, 1):
+        if col.generic and not (allow_exceptional_genus0 and col.genus != 1):
+            raise GenericityViolation(i, col.generic)
 
 
 @dataclass(frozen=True)

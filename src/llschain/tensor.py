@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .multidegree import MultidegreeError, TwistVector
-from .table import VanishingTable
+from .table import VanishingTable, pair_list
 
 
 @lru_cache(maxsize=None)
-def pair_list(r: int) -> tuple[tuple[int, int], ...]:
-    """Unordered row pairs (j <= j'), sorted by total then first entry."""
-    pairs = [(j1, j2) for j1 in range(r + 1) for j2 in range(j1, r + 1)]
-    pairs.sort(key=lambda p: (p[0] + p[1], p[0]))
-    return tuple(pairs)
+def pair_positions(r: int) -> dict[tuple[int, int], int]:
+    """Position of each pair of :func:`pair_list` (r) in that list."""
+    return {pair: p for p, pair in enumerate(pair_list(r))}
 
 
 @dataclass(frozen=True)
@@ -47,18 +45,18 @@ class TensorTable:
         return 2 * self.base.d
 
     def pair_index(self, pair: tuple[int, int]) -> int:
-        return self.pairs.index((min(pair), max(pair)))
+        try:
+            return pair_positions(self.base.r)[min(pair), max(pair)]
+        except KeyError:
+            raise ValueError(f"{pair} is not a row pair of this table") from None
 
 
 def build_tensor_table(table: VanishingTable) -> TensorTable:
-    pairs = pair_list(table.r)
-    ta = tuple(
-        tuple(ai[j1] + ai[j2] for (j1, j2) in pairs) for ai in table.a
-    )
-    tb = tuple(
-        tuple(bi[j1] + bi[j2] for (j1, j2) in pairs) for bi in table.b
-    )
-    return TensorTable(table, pairs, ta, tb)
+    """The tensor table, from the sums cached on the table's columns."""
+    cols = table.columns
+    return TensorTable(table, pair_list(table.r),
+                       tuple(col.ta for col in cols),
+                       tuple(col.tb for col in cols))
 
 
 @dataclass(frozen=True)

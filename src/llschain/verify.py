@@ -449,6 +449,11 @@ def verify_family(config: FamilyConfig) -> Report:
     started = time.time()
     if config.limit is not None and config.limit < 0:
         raise ValueError(f"limit must be non-negative, got {config.limit}")
+    if config.r != 6:
+        # the default multidegree, and so every verdict, is defined for r = 6
+        raise ValueError(f"verification is defined for r = 6, got r = {config.r}")
+    if config.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {config.jobs}")
     enum = _worker_enumerator(config.spec_key())
     total = enum.total()
     if config.mode == "sampled":

@@ -82,7 +82,7 @@ def test_cli_left_weighted(capsys):
     assert capsys.readouterr().out.strip() == "10100,100,1"
 
 
-def test_cli_flag_errors(capsys, tmp_path):
+def test_cli_flag_errors(capsys, tmp_path, monkeypatch):
     with pytest.raises(SystemExit):
         main(["enumerate"])  # missing required flags
     assert main(["inspect"]) == 2  # no table given
@@ -98,6 +98,16 @@ def test_cli_flag_errors(capsys, tmp_path):
                  "--limit", "-4"]) == 2
     assert main(["enumerate", "--g", "6", "--r", "1", "--d", "4",
                  "--limit", "-1"]) == 2
+    # verification is defined for r = 6 only, and needs at least one job;
+    # both are refused before the family is counted or the output created
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--g", "6", "--r", "1", "--d", "4", "--limit", "2",
+                 "--out", str(out)]) == 2
+    monkeypatch.setenv("LLSCHAIN_JOBS", "2")  # --jobs 0 must not fall back
+    for jobs in ("-3", "0"):
+        assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
+                     "--limit", "3", "--jobs", jobs, "--out", str(out)]) == 2
+    assert not out.exists()
     assert capsys.readouterr().out == ""
 
 

@@ -15,7 +15,16 @@ from llschain import (
     replay_certificate,
     verify_table,
 )
-from llschain.drop import DropContext, _all_actions, _search, _semicritical
+from llschain.drop import (
+    DropContext,
+    _all_actions,
+    _find,
+    _greedy,
+    _mask,
+    _search,
+    _semicritical,
+    _step,
+)
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import twist_from_threes
 
@@ -320,3 +329,63 @@ def test_rule_ii_never_drops_exceptional_rows():
                     degs = component_degrees(w, table.chain)
                 for col in range(step["start"] + 1, step["end"]):
                     assert degs[col - 1] == 2
+
+
+def _reference_greedy(ctx, alive, steps):
+    """The greedy schedule asking `_find` at every place on every pass."""
+    n = ctx.n
+    sweep = [*range(n), *reversed(range(n))]
+    fallbacks = ([("ii", x, False) for x in range(n)]
+                 + [("iii", b, True) for b in ctx.blocks]
+                 + [("iii", b, False) for b in ctx.blocks])
+    while alive:
+        progress = False
+        for x in sweep:
+            while (found := _find(ctx, alive, "i", x)) is not None:
+                steps.append(_step(ctx, "i", x, *found))
+                alive &= ~_mask(ctx, found[1])
+                progress = True
+        if progress:
+            continue
+        for rule, where, anchored in fallbacks:
+            found = _find(ctx, alive, rule, where, anchored)
+            if found is not None:
+                steps.append(_step(ctx, rule, where, *found))
+                alive &= ~_mask(ctx, found[1])
+                break
+        else:
+            break
+    return alive
+
+
+def test_greedy_skips_only_calls_that_find_nothing():
+    # same steps and the same stuck state as the greedy that skips nothing
+    families = (
+        (TableEnumerator(21, 6, 24, 0), 300),
+        (TableEnumerator(22, 6, 25, None, "has_swap"), 300),
+        (TableEnumerator(23, 6, 26, None, "two_swap"), 100),
+    )
+    instances = []
+    for enum, count in families:
+        for _, table in enum.iter_indices(enum.sample_indices(count, seed=8)):
+            tt = build_tensor_table(table)
+            instances.append((tt, default_multidegree(table), None))
+    # adversarial placements that leave sections stuck
+    instances += [(tt, w, secs) for _, tt, w, secs in small_drop_instances(
+        n_success=0, n_failure=6)]
+    enum = TableEnumerator(21, 6, 24, 0)
+    for _, table in enum.iter_indices(enum.sample_indices(40, seed=31)):
+        w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
+        instances.append((build_tensor_table(table), w, None))
+    stuck_seen = 0
+    for tt, w, secs in instances:
+        if secs is None:
+            secs = extract_potential_sections(tt, w)
+        ctx = DropContext(tt, w, secs)
+        full = (1 << len(secs)) - 1
+        steps, ref_steps = [], []
+        stuck = _greedy(ctx, full, steps)
+        assert stuck == _reference_greedy(ctx, full, ref_steps)
+        assert steps == ref_steps
+        stuck_seen += stuck != 0
+    assert stuck_seen >= 10

@@ -1,8 +1,11 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llschain import (
+    CanonicalOrderViolation,
     ChainCurve,
     DuplicateVanishing,
     GenericityViolation,
@@ -10,7 +13,9 @@ from llschain import (
     NegativeOrder,
     RefinednessViolation,
     SumExceedsD,
+    TableError,
     build_elliptic_chain,
+    build_tensor_table,
     classify_degeneracy,
     exceptional_rows,
     find_swaps,
@@ -21,8 +26,10 @@ from llschain import (
     table_from_lambda,
     validate_table,
 )
+from llschain import table as table_module
 from llschain.enumeration import TableEnumerator
 from llschain.table import VanishingTable
+from llschain.tensor import TensorTable, pair_list
 
 
 def rho0_rectangle_table(g, r, d):
@@ -266,3 +273,149 @@ def test_json_round_trip_and_hash():
     assert again == table
     assert again.table_hash() == table.table_hash()
     assert len(table.table_hash()) == 16
+
+
+# -- interned columns against the whole-table oracles -------------------------
+
+
+def _reference_validate(table, allow_exceptional_genus0=False):
+    """validate_table as it read before columns were interned."""
+    n, r, d = table.n_columns, table.r, table.d
+    if n != table.chain.n_components:
+        raise TableError("table width disagrees with chain length")
+    if n < 1 or r < 0 or d < 0:
+        raise TableError("dimensions out of range")
+    for i in range(n):
+        ai, bi = table.a[i], table.b[i]
+        if len(ai) != r + 1 or len(bi) != r + 1:
+            raise TableError(f"column {i + 1} has wrong height")
+        for j in range(r + 1):
+            if ai[j] < 0:
+                raise NegativeOrder(i + 1, j, "a")
+            if bi[j] < 0:
+                raise NegativeOrder(i + 1, j, "b")
+        if len(set(ai)) != r + 1:
+            raise DuplicateVanishing(i + 1, "a")
+        if len(set(bi)) != r + 1:
+            raise DuplicateVanishing(i + 1, "b")
+        for j in range(r + 1):
+            if ai[j] + bi[j] > d:
+                raise SumExceedsD(i + 1, j)
+    for j in range(r):
+        if table.a[0][j] >= table.a[0][j + 1]:
+            raise CanonicalOrderViolation("first column must be strictly increasing")
+    for i in range(1, n):
+        for j in range(r + 1):
+            if table.a[i][j] != d - table.b[i - 1][j]:
+                raise RefinednessViolation(i + 1, j)
+    for i in range(n):
+        ai, bi = table.a[i], table.b[i]
+        full = sum(1 for j in range(r + 1) if ai[j] + bi[j] == d)
+        if table.chain.genera[i] == 1:
+            if full > 1:
+                raise GenericityViolation(i + 1, "two rows of sum d in a genus-1 column")
+        elif full != r + 1 and not allow_exceptional_genus0:
+            raise GenericityViolation(i + 1, "genus-0 column with a row below sum d")
+
+
+def _reference_tensor(table):
+    pairs = pair_list(table.r)
+    ta = tuple(tuple(ai[j1] + ai[j2] for j1, j2 in pairs) for ai in table.a)
+    tb = tuple(tuple(bi[j1] + bi[j2] for j1, j2 in pairs) for bi in table.b)
+    return TensorTable(table, pairs, ta, tb)
+
+
+def _outcome(check, table, allow):
+    """(exception type, column, row, message) of a validation, or None."""
+    try:
+        check(table, allow)
+    except TableError as err:
+        return (type(err), getattr(err, "column", None),
+                getattr(err, "row", None), str(err))
+    return None
+
+
+_SMALL_FAMILIES = [TableEnumerator(g, r, d, rho)
+                   for g, r, d, rho in ((6, 1, 5, 2), (8, 2, 8, 2), (9, 3, 10, 1))]
+
+
+@st.composite
+def enumerated_tables(draw):
+    enum = draw(st.sampled_from(_SMALL_FAMILIES))
+    [(_, table)] = enum.iter_range(draw(st.integers(0, enum.total() - 1)), 1)
+    return table
+
+
+@st.composite
+def refined_tables(draw):
+    """Refined tables on chains with genus-0 components, mostly invalid."""
+    n, r = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    d = draw(st.integers(r, r + 5))
+    genera = tuple(draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n)))
+    values = st.lists(st.integers(0, d), min_size=r + 1, max_size=r + 1)
+    a = [tuple(sorted(draw(values)))]
+    b = []
+    for i in range(n):
+        b.append(tuple(max(0, d - v - draw(st.integers(0, 1 - genera[i] + 1)))
+                       for v in a[i]))
+        if i + 1 < n:
+            a.append(tuple(d - v for v in b[i]))
+    return table_from_columns(ChainCurve(genera), r, d, a, b)
+
+
+@st.composite
+def oracle_tables(draw):
+    table = draw(st.one_of(enumerated_tables(), refined_tables()))
+    if draw(st.booleans()):
+        # one entry moved: breaks refinedness, makes duplicates, negative
+        # orders, sums above d or an unsorted first column
+        a = [list(col) for col in table.a]
+        b = [list(col) for col in table.b]
+        side = draw(st.sampled_from((a, b)))
+        i = draw(st.integers(0, table.n_columns - 1))
+        j = draw(st.integers(0, table.r))
+        side[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+        table = table_from_columns(table.chain, table.r, table.d, a, b)
+    return table
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(oracle_tables())
+def test_interned_columns_match_oracles(table):
+    assert table.shape == lambda_sequence(table)
+    assert table.swaps == tuple(find_swaps(table))
+    assert table.exceptional == frozenset(exceptional_rows(table))
+    assert build_tensor_table(table) == _reference_tensor(table)
+    for allow in (False, True):
+        assert _outcome(validate_table, table, allow) == \
+            _outcome(_reference_validate, table, allow)
+
+
+def test_oracle_tables_reach_every_outcome():
+    # the property above sees valid tables and every kind of violation
+    seen = set()
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(oracle_tables())
+    def collect(table):
+        outcome = _outcome(_reference_validate, table, False)
+        seen.add(outcome and outcome[0])
+        if outcome is None:
+            seen.add(("refined", any(g == 0 for g in table.chain.genera)))
+
+    collect()
+    assert {None, RefinednessViolation, DuplicateVanishing, SumExceedsD,
+            NegativeOrder, GenericityViolation, CanonicalOrderViolation} <= seen
+    assert ("refined", True) in seen
+
+
+def test_column_cache_is_cleared_at_its_cap(monkeypatch):
+    monkeypatch.setattr(table_module, "_CACHE_CAP", 5)
+    monkeypatch.setattr(table_module, "_COLUMNS", {})
+    monkeypatch.setattr(table_module, "_SHAPE_ROWS", {})
+    enum = TableEnumerator(22, 6, 25)
+    for _, table in enum.iter_indices(enum.sample_indices(20, seed=2)):
+        validate_table(table)
+        assert table.shape == lambda_sequence(table)
+        assert len(table_module._COLUMNS) <= 5
+        assert len(table_module._SHAPE_ROWS) <= 5

@@ -236,8 +236,11 @@ def test_family_parallel_matches_serial(tmp_path, monkeypatch):
 
 def test_family_certificate_stream_pinned():
     # certificates carry the full step order of the drop engine; these
-    # stream hashes pin it for a swap prefix and a two-swap sample
+    # stream hashes pin it for a swap-free prefix, a swap prefix and a
+    # two-swap sample
     runs = (
+        (dict(g=21, r=6, d=24, rho_max=0, limit=200),
+         "dbd5c482e5e219479e29a6c59509fe2cd1b6c5d8958969c9aadce2b01a0bb359"),
         (dict(g=22, r=6, d=25, stratum="has_swap", limit=200),
          "282d827d588531fcc86a380d33bc867348da09bed8413f0b367dc293d87f3492"),
         (dict(g=23, r=6, d=26, stratum="two_swap", mode="sampled", n=100, seed=1),
@@ -327,16 +330,28 @@ def test_verify_table_computes_each_fact_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for name in ("lambda_sequence", "find_swaps", "exceptional_rows"):
-        monkeypatch.setattr(table_module, name,
-                            counting(name, getattr(table_module, name)))
+    # each distinct column's facts and shape rows are built once, and the
+    # hash once, however many candidates the walk tries
+    monkeypatch.setattr(table_module, "Column",
+                        counting("Column", table_module.Column))
+    monkeypatch.setattr(table_module, "_bar_counts",
+                        counting("shape_row", table_module._bar_counts))
     monkeypatch.setattr(table_module.VanishingTable, "table_hash", counting(
         "table_hash", table_module.VanishingTable.table_hash))
-    once = {"lambda_sequence": 1, "find_swaps": 1, "exceptional_rows": 1,
-            "table_hash": 1}
     for table, tried_more in ((g22_example(), False), (fallback, True)):
+        monkeypatch.setattr(table_module, "_COLUMNS", {})
+        monkeypatch.setattr(table_module, "_SHAPE_ROWS", {})
         calls.clear()
         verdict = verify_table(table)
         assert verdict.passing
         assert (verdict.candidates_tried > 1) == tried_more
-        assert dict(calls) == once
+        n = table.n_columns
+        rows = {(table.a[0], 0)} | {
+            (table.a[i] if i < n else table.virtual_last_a(),
+             table.chain.genus_prefix(i)) for i in range(1, n + 1)}
+        assert dict(calls) == {
+            "Column": len(set(zip(table.chain.genera, table.a, table.b))),
+            "shape_row": len(rows),
+            "table_hash": 1,
+        }
+
