@@ -213,8 +213,10 @@ def pair_list(r: int) -> tuple[tuple[int, int], ...]:
 
 
 # entries per cache before it is cleared: a full column cache holds about
-# 1.2 MB (1.1 kB per column), a full shape-row cache about 0.4 MB
-_CACHE_CAP = 1024
+# 8.4 MB (1.0 kB per column), a full shape-row cache about 3.4 MB (0.4 kB per
+# row).  2,000 uniform two-swap samples of (23,6,26) hold 5,910 distinct
+# columns, so they fit without a clear.
+_CACHE_CAP = 8192
 _NO_ROWS: frozenset[int] = frozenset()
 _COLUMNS: dict[tuple, "Column"] = {}
 _SHAPE_ROWS: dict[tuple, tuple] = {}

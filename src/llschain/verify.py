@@ -454,14 +454,13 @@ def verify_family(config: FamilyConfig) -> Report:
         raise ValueError(f"verification is defined for r = 6, got r = {config.r}")
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
+    if config.mode == "sampled" and config.n is None:
+        raise ValueError("sampled mode needs n")
+    if config.n is not None and config.n < 0:
+        raise ValueError(f"n must be non-negative, got {config.n}")
     enum = _worker_enumerator(config.spec_key())
     total = enum.total()
-    if config.mode == "sampled":
-        if config.n is None:
-            raise ValueError("sampled mode needs n")
-        stream_total = min(config.n, total)
-    else:
-        stream_total = total
+    stream_total = min(config.n, total) if config.mode == "sampled" else total
 
     checkpoint = _load_checkpoint(config)
     done = resumed_from = checkpoint.get("done", 0)

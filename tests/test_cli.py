@@ -107,7 +107,21 @@ def test_cli_flag_errors(capsys, tmp_path, monkeypatch):
     for jobs in ("-3", "0"):
         assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
                      "--limit", "3", "--jobs", jobs, "--out", str(out)]) == 2
+    # a negative sample size is refused before the count, with its own message
+    assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
+                 "--mode", "sampled", "--n", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be non-negative" in captured.err
     assert not out.exists()
+    # enumerate checks its flags before it creates --out
+    tables = tmp_path / "t.jsonl"
+    for flags in (["--g", "6", "--r", "1", "--d", "4", "--mode", "sampled"],
+                  ["--g", "5", "--r", "1", "--d", "2"],
+                  ["--g", "6", "--r", "1", "--d", "4", "--mode", "sampled",
+                   "--n", "-1"]):
+        assert main(["enumerate", *flags, "--out", str(tables)]) == 2
+    assert not tables.exists()
     assert capsys.readouterr().out == ""
 
 

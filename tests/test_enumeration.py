@@ -13,7 +13,14 @@ from llschain import (
     rho_accounting,
     validate_table,
 )
-from llschain.enumeration import STRATA, TableEnumerator, _Choice, _column_choices
+from llschain import enumeration
+from llschain.enumeration import (
+    MAX_BUDGET,
+    STRATA,
+    TableEnumerator,
+    _Choice,
+    _column_choices,
+)
 
 
 def hook_length_count(rows, cols):
@@ -174,6 +181,13 @@ def test_enumerate_guards():
         list(enum.iter_indices([total]))
     with pytest.raises(EnumerationError):
         list(enum.iter_indices([0, total + 2]))
+    with pytest.raises(EnumerationError, match="non-negative"):
+        enum.sample_indices(-1, seed=0)
+    # bad arguments are refused when the stream is made, not when it is read
+    with pytest.raises(EnumerationError):
+        enumerate_tables(6, 1, 4, 0, mode="sampled", n=-1, seed=0)
+    with pytest.raises(EnumerationError):
+        enumerate_tables(4, 1, 2)
 
 
 def test_walk_rejects_counts_its_subtrees_do_not_hold():
@@ -186,6 +200,19 @@ def test_walk_rejects_counts_its_subtrees_do_not_hold():
     assert len(list(enum.iter_range(0, total))) == total
     with pytest.raises(EnumerationError, match="offset out of range"):
         list(enum.iter_range(total, 1))
+
+
+def test_unranking_rejects_counts_its_subtrees_do_not_hold():
+    enum = TableEnumerator(5, 1, 4, 1)
+    total = enum.total()
+    a1, budget = enum._roots()[-1]
+    n0, n1, n2 = enum._memo[(0, a1, budget)]
+    enum._memo[(0, a1, budget)] = (n0 + 1, n1, n2)  # one leaf too many below the last root
+    assert enum.total() == total + 1
+    assert len(list(enum.iter_indices(range(total)))) == total
+    # bisection lands past the last child of that root: not an IndexError
+    with pytest.raises(EnumerationError, match="offset out of range"):
+        list(enum.iter_indices([total]))
 
 
 def test_oracle_rejects_large_spaces():
@@ -275,18 +302,19 @@ def _assert_choices_match(a, budget, d):
 def test_column_choices_match_reference_on_count(g, r, d, rho_max, stratum):
     enum = TableEnumerator(g, r, d, rho_max, stratum)
     enum.total()
-    assert enum._choice_cache
-    for a, budget in enum._choice_cache:
-        _assert_choices_match(a, budget, d)
+    counted = {(vals, budget) for _, vals, budget in enum._memo}
+    assert counted
+    for vals, budget in counted:
+        _assert_choices_match(vals, budget, d)
 
 
 def test_column_choices_match_reference_on_labeled_walk():
     # the walk asks for choices from labeled, unsorted row values too
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     indices = enum.sample_indices(300, seed=12345)
-    counted = set(enum._choice_cache)
+    counted = {(vals, budget) for _, vals, budget in enum._memo}
     list(enum.iter_indices(indices))
-    labeled = enum._choice_cache.keys() - counted
+    labeled = {(a, budget) for i, a, budget, _ in enum._nodes if i >= 0} - counted
     assert any(list(a) != sorted(a) for a, _ in labeled)
     for a, budget in labeled:
         _assert_choices_match(a, budget, enum.d)
@@ -297,3 +325,95 @@ def test_column_choices_match_reference_on_labeled_walk():
        st.integers(0, 2), st.integers(0, 4))
 def test_column_choices_match_reference_property(a, budget, lift):
     _assert_choices_match(tuple(a), budget, max(a) + lift)
+
+
+def test_count_builds_each_choice_list_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return _column_choices(*args)
+
+    monkeypatch.setattr(enumeration, "_column_choices", counted)
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    enum.total()
+    assert len(calls) == len(enum._memo)
+
+
+# -- unranking against the linear-scan walk ---------------------------------
+
+
+def _reference_walk(enum, start, count):
+    """The tables [start, start+count): a linear scan that passes over whole
+    subtrees by their count until the offset lands, then streams."""
+
+    def walk(i, states, skip, cols):
+        entered = False
+        for a, key, budget, swaps in states:
+            sub = enum._count(i, key, budget, swaps)
+            if skip >= sub:
+                skip -= sub
+                continue
+            entered = True
+            cols.append(a)
+            if i == enum.g:
+                yield enum._materialize(cols)
+            else:
+                yield from walk(i + 1, (
+                    (ch.new_a, ch.key, budget - ch.cost,
+                     min(MAX_BUDGET, swaps + ch.swaps))
+                    for ch in _column_choices(a, budget, enum.d, {})
+                ), skip, cols)
+            cols.pop()
+            skip = 0
+        if not entered:
+            raise EnumerationError("offset out of range")
+
+    stop = min(start + count, enum.total())
+    roots = ((a1, a1, budget, 0) for a1, budget in enum._roots())
+    return [t for _, t in zip(range(start, stop), walk(0, roots, start, []))]
+
+
+def _reference_indices(enum, indices):
+    return [(idx, _reference_walk(enum, idx, 1)[0]) for idx in indices]
+
+
+_SMALL_FAMILIES = [(5, 1, 4, 1), (6, 1, 5, 2), (8, 2, 8, 2), (6, 2, 6, 0),
+                   (5, 2, 6, 2), (14, 6, 18, 0)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from(_SMALL_FAMILIES), st.sampled_from(sorted(STRATA)),
+       st.data())
+def test_unranking_matches_reference_walk_property(family, stratum, data):
+    enum = TableEnumerator(*family, stratum)
+    total = enum.total()
+    if total == 0:
+        assert list(enum.iter_range(0, 5)) == []
+        return
+    indices = sorted(data.draw(st.sets(st.integers(0, total - 1), max_size=12)))
+    assert list(enum.iter_indices(indices)) == _reference_indices(enum, indices)
+    start = data.draw(st.integers(0, total + 2))
+    count = data.draw(st.integers(0, 40))
+    got = [t for _, t in enum.iter_range(start, count)]
+    assert got == _reference_walk(enum, start, count)
+
+
+def test_unranking_matches_reference_walk_on_two_swap_samples():
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    indices = enum.sample_indices(300, seed=12345)
+    assert list(enum.iter_indices(indices)) == _reference_indices(enum, indices)
+
+
+def test_capped_node_cache_yields_the_same_tables(monkeypatch):
+    def tables(enum):
+        indices = enum.sample_indices(60, seed=5)
+        return (list(enum.iter_indices(indices)),
+                list(enum.iter_range(indices[7], 200)))
+
+    family = (23, 6, 26, None, "two_swap")
+    free = tables(TableEnumerator(*family))
+    monkeypatch.setattr(enumeration, "_NODE_CAP", 5)
+    capped = TableEnumerator(*family)
+    assert tables(capped) == free
+    assert len(capped._nodes) <= 5
