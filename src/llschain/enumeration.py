@@ -268,18 +268,6 @@ class TableEnumerator:
     def _root(self) -> tuple[list[tuple], list[int]]:
         return self._node(-1, (), self.rho_max, 0)
 
-    def _unrank(self, root, skip: int) -> VanishingTable:
-        """The ``skip``-th table below ``root``: one bisection per column."""
-        children, cums = root
-        cols = []
-        for i in range(self.g + 1):
-            k, skip = _locate(cums, skip)
-            a, _, budget, swaps = children[k]
-            cols.append(a)
-            if i < self.g:
-                children, cums = self._node(i, a, budget, swaps)
-        return self._materialize(cols)
-
     def _walk(self, i: int, node, skip: int,
               cols: list[tuple[int, ...]]) -> Iterator[VanishingTable]:
         """Stream the tables below ``node``, whose children are the states
@@ -338,7 +326,8 @@ class TableEnumerator:
                 raise EnumerationError("indices must be strictly ascending")
             if idx >= total:
                 raise EnumerationError(f"index {idx} out of range ({total} tables)")
-            yield (idx, self._unrank(root, idx))
+            # the first table of the walk from idx: one bisection per column
+            yield (idx, next(self._walk(0, root, idx, [])))
             prev = idx
 
 
