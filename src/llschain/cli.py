@@ -12,7 +12,7 @@ import os
 import sys
 
 from .chain import build_elliptic_chain, left_weighted_weights
-from .drop import drop_all
+from .drop import DropContext, drop_all
 from .enumeration import (
     STRATA,
     TableEnumerator,
@@ -155,13 +155,13 @@ def _cmd_drop(args) -> int:
     table = _load_table(args)
     w = _load_w(args, table)
     tt = build_tensor_table(table)
-    sections = extract_potential_sections(tt, w)
-    result = drop_all(tt, w, sections)
+    ctx = DropContext(tt, w, extract_potential_sections(tt, w))
+    result = drop_all(ctx)
     if args.trace and result.certificate is not None:
         for k, step in enumerate(result.certificate.steps):
             print(f"{k:3d} {json.dumps(step, sort_keys=True)}")
     if result.success:
-        print(f"dropped all {len(sections)} sections "
+        print(f"dropped all {len(ctx.sections)} sections "
               f"in {len(result.certificate.steps)} steps")
         return 0
     print(f"stuck with {len(result.remaining)} sections:")

@@ -25,12 +25,17 @@ sweeps, then rule (ii), then rule-(iii) blocks, to a fixpoint) and falls
 back to a bounded exhaustive search over rule orders if the greedy schedule
 stalls.  Every drop is recorded in a replayable certificate.
 
-The greedy schedule, the search and replay all ask one primitive, `_find`,
-which drop a rule allows at a column or block in a given state, and
-`_step` alone writes certificate steps.  A certificate is bound to the hash
-of its table and to `w`; replay accepts it iff each step is exactly the
-drop its rule allows at that place at that moment (same rule, same side,
-same set of sections) and nothing remains at the end.
+One `DropContext` per (table, w) pair holds everything the rules read, and
+it sees the sections one way only: as bitmasks, bit i standing for
+`sections[i]`.  A state is the mask of the live sections.  The greedy
+schedule, the search and replay all ask one primitive, `_find`, which drop
+a rule allows at a column or block in a given state; it answers
+(side, mask), the mask of the sections to drop.  `_step` alone writes
+certificate steps.  A certificate is bound to the hash of its table and to
+`w`, and replay checks that binding against the context it replays on; it
+accepts a certificate iff each step is exactly the drop its rule allows at
+that place at that moment (same rule, same side, same set of sections) and
+nothing remains at the end.
 
 `_find` reads the state only through the mask of the place it is asked
 about: `alive & cover[x]` at a column x (rules i and ii), the live sections
@@ -41,6 +46,9 @@ found nothing there, and skips the place while that state is unchanged:
 the skipped call would find nothing again, so the schedule, and with it
 every certificate, is the one the greedy without skips produces.  Search
 and replay keep no such record and ask `_find` at every place they visit.
+Where a rule needs section indices (the minima of rule i, the rows of rule
+ii, the JSON of a step) it walks the set bits in ascending order, so a
+step lists its sections in index order.
 """
 
 from __future__ import annotations
@@ -48,40 +56,49 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .multidegree import MultidegreeError, TwistVector, component_degrees
-from .tensor import (
-    PotentialSection,
-    TensorTable,
-    extract_potential_sections,
-    pair_positions,
-)
+from .tensor import PotentialSection, TensorTable, pair_positions
 
 CERTIFICATE_VERSION = 1
 
 _SEARCH_MAX_NODES = 2_000
-_SEARCH_MAX_DEPTH = 64
 
 
 class MalformedCertificate(ValueError):
     pass
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class DropContext:
     """Static data shared by all rule evaluations for one (table, w) pair.
 
-    ``cover[x]`` is the mask of sections covering column x, and
-    ``reach[(u, v)]`` the mask of sections meeting block (u, v), i.e. the OR
-    of ``cover[u..v]``; bit i stands for ``sections[i]``.
+    Sections are read only through masks, bit i standing for
+    ``sections[i]``: ``cover[x]`` holds the sections covering column x,
+    ``starts[x]`` and ``ends[x]`` those starting or ending there, and
+    ``reach[(u, v)]`` those meeting block (u, v), the OR of ``cover[u..v]``.
+    ``table_hash`` and ``w`` are what a certificate replayed on this context
+    must be bound to.
     """
 
     __slots__ = (
-        "n", "d2", "genera", "degree", "delta", "exc", "sections", "pair_of",
-        "ta", "tb", "start0", "end0", "by_col", "bit", "blocks", "dd_pair",
-        "cover", "reach",
+        "table_hash", "w", "n", "d2", "genera", "degree", "delta", "exc",
+        "sections", "pair_of", "ta", "tb", "blocks", "dd_pair", "cover",
+        "starts", "ends", "reach",
     )
 
     def __init__(self, tt: TensorTable, w: TwistVector,
                  sections: list[PotentialSection]):
         base = tt.base
+        self.table_hash = base.hash
+        self.w = w
         self.n = base.n_columns
         self.d2 = 2 * base.d
         self.genera = base.chain.genera
@@ -93,15 +110,15 @@ class DropContext:
         self.pair_of = [pos[s.row] for s in sections]
         self.ta = tt.ta
         self.tb = tt.tb
-        self.start0 = [s.start - 1 for s in sections]
-        self.end0 = [s.end - 1 for s in sections]
-        self.by_col = [[] for _ in range(self.n)]
         self.cover = [0] * self.n
-        self.bit = [1 << idx for idx in range(len(sections))]
+        self.starts = [0] * self.n
+        self.ends = [0] * self.n
         for idx, s in enumerate(sections):
+            bit = 1 << idx
+            self.starts[s.start - 1] |= bit
+            self.ends[s.end - 1] |= bit
             for x in range(s.start - 1, s.end):
-                self.by_col[x].append(idx)
-                self.cover[x] |= self.bit[idx]
+                self.cover[x] |= bit
         self.dd_pair = [pos[dj, dj] if dj is not None else None
                         for dj in self.delta]
         self.reach = {}
@@ -124,16 +141,13 @@ class DropContext:
                     break
         return out
 
-    def alive_at(self, alive: int, x: int) -> list[int]:
-        return [i for i in self.by_col[x] if (alive >> i) & 1]
-
 
 def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
     """Level of column x: 0 none, 1 semicritical, 2 critical."""
     dj = ctx.delta[x]
     if dj is None:
         return 0
-    secs = ctx.alive_at(alive, x)
+    secs = _bits(alive & ctx.cover[x])
     if not secs:
         return 2
     mina = min(ctx.ta[x][ctx.pair_of[i]] for i in secs)
@@ -175,12 +189,11 @@ def _rule_iii(ctx: DropContext, alive: int, block: tuple[int, int],
     level_v = _semicritical(ctx, alive, v)
     if not level_v:
         return None
-    secs = [i for i in range(len(ctx.sections)) if dropped >> i & 1]
-    arm_left = level_u == 2 and not any(ctx.end0[i] == u for i in secs)
-    arm_right = level_v == 2 and not any(ctx.start0[i] == v for i in secs)
+    arm_left = level_u == 2 and not dropped & ctx.ends[u]
+    arm_right = level_v == 2 and not dropped & ctx.starts[v]
     if not (arm_left or arm_right):
         return None
-    return (None, secs)
+    return (None, dropped)
 
 
 def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False):
@@ -189,8 +202,8 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     `where` is a 0-based column for rules i and ii and a 0-based block
     (u, v) from `ctx.blocks` for rule iii; `anchored` restricts rule iii to
     blocks with live sections at both endpoints.  The drop is returned as
-    (side, section indices), where side is the minimum ("a" or "b") that
-    rule i used and None for the other rules.
+    (side, mask of the sections dropped), where side is the minimum ("a" or
+    "b") that rule i used and None for the other rules.
     """
     if rule == "iii":
         return _rule_iii(ctx, alive, where, anchored)
@@ -201,21 +214,19 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     if rule == "ii":
         if ctx.genera[x] != 1 or live.bit_count() > 2:
             return None
-        secs = ctx.alive_at(alive, x)
-        for i in secs:
+        for i in _bits(live):
             for j in ctx.sections[i].row:
                 if j in ctx.exc[x]:
                     return None
-        return (None, secs)
+        return (None, live)
     # rule (i): a unique minimal a-value, else a unique minimal b-value
     if not live & (live - 1):
-        return ("a", [live.bit_length() - 1])
-    secs = ctx.alive_at(alive, x)
+        return ("a", live)
     ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
     best_a = best_b = None
     lo_a = lo_b = None
     count_a = count_b = 0
-    for i in secs:
+    for i in _bits(live):
         p = pair_of[i]
         va, vb = ta[p], tb[p]
         if lo_a is None or va < lo_a:
@@ -227,30 +238,22 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
         elif vb == lo_b:
             count_b += 1
     if count_a == 1:
-        return ("a", [best_a])
+        return ("a", 1 << best_a)
     if count_b == 1:
-        return ("b", [best_b])
+        return ("b", 1 << best_b)
     return None
 
 
-def _step(ctx: DropContext, rule: str, where, side, secs: list[int]) -> dict:
+def _step(ctx: DropContext, rule: str, where, side, mask: int) -> dict:
     """The certificate record of one drop found by `_find`."""
     if rule == "i":
         return {"rule": "i", "column": where + 1, "min": side,
-                "section": ctx.sections[secs[0]].to_json()}
+                "section": ctx.sections[mask.bit_length() - 1].to_json()}
+    secs = [ctx.sections[i].to_json() for i in _bits(mask)]
     if rule == "ii":
-        return {"rule": "ii", "column": where + 1,
-                "sections": [ctx.sections[i].to_json() for i in secs]}
+        return {"rule": "ii", "column": where + 1, "sections": secs}
     u, v = where
-    return {"rule": "iii", "start": u + 1, "end": v + 1,
-            "sections": [ctx.sections[i].to_json() for i in secs]}
-
-
-def _mask(ctx: DropContext, secs: list[int]) -> int:
-    mask = 0
-    for i in secs:
-        mask |= ctx.bit[i]
-    return mask
+    return {"rule": "iii", "start": u + 1, "end": v + 1, "sections": secs}
 
 
 def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
@@ -273,7 +276,7 @@ def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
                 continue
             while (found := _find(ctx, alive, "i", x)) is not None:
                 steps.append(_step(ctx, "i", x, *found))
-                alive &= ~_mask(ctx, found[1])
+                alive &= ~found[1]
                 progress = True
             idle_i[x] = alive & cover[x]
         if progress:
@@ -284,7 +287,7 @@ def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
             found = _find(ctx, alive, rule, where, anchored)
             if found is not None:
                 steps.append(_step(ctx, rule, where, *found))
-                alive &= ~_mask(ctx, found[1])
+                alive &= ~found[1]
                 break
             idle[k] = alive & reads
         else:
@@ -299,7 +302,7 @@ def _all_actions(ctx: DropContext, alive: int):
     for rule, where in places:
         found = _find(ctx, alive, rule, where)
         if found is not None:
-            yield _step(ctx, rule, where, *found), _mask(ctx, found[1])
+            yield _step(ctx, rule, where, *found), found[1]
 
 
 def _search(ctx: DropContext, alive: int,
@@ -307,30 +310,31 @@ def _search(ctx: DropContext, alive: int,
     """Exhaustive bounded search over rule orders, from the given state.
 
     Returns (steps, truncated); steps is None when no emptying order was
-    found within the node budget.
+    found within the node budget.  Every drop empties at least one live
+    section, so no order is longer than the number of sections.
     """
     dead: set[int] = set()
     nodes = 0
     truncated = False
 
-    def go(state: int, depth: int) -> list[dict] | None:
+    def go(state: int) -> list[dict] | None:
         nonlocal nodes, truncated
         if state == 0:
             return []
-        if state in dead or depth > _SEARCH_MAX_DEPTH:
+        if state in dead:
             return None
         nodes += 1
         if nodes > max_nodes:
             truncated = True
             return None
         for step, mask in _all_actions(ctx, state):
-            rest = go(state & ~mask, depth + 1)
+            rest = go(state & ~mask)
             if rest is not None:
                 return [step] + rest
         dead.add(state)
         return None
 
-    return go(alive, 0), truncated
+    return go(alive), truncated
 
 
 @dataclass(frozen=True)
@@ -379,29 +383,22 @@ class DropResult:
         return self.success
 
 
-def drop_all(tt: TensorTable, w: TwistVector,
-             sections: list[PotentialSection] | None = None,
-             max_nodes: int = _SEARCH_MAX_NODES,
-             context: DropContext | None = None) -> DropResult:
-    """Try to drop every potential section; failure is a value, not an error."""
-    if sections is None:
-        sections = extract_potential_sections(tt, w)
-    ctx = context if context is not None else DropContext(tt, w, sections)
-    full = (1 << len(sections)) - 1
+def drop_all(ctx: DropContext, max_nodes: int = _SEARCH_MAX_NODES) -> DropResult:
+    """Try to drop every section of `ctx`; failure is a value, not an error."""
+    full = (1 << len(ctx.sections)) - 1
     steps: list[dict] = []
     stuck = _greedy(ctx, full, steps)
-    table_hash = tt.base.hash
     if stuck == 0:
-        cert = DropCertificate(table_hash, w, tuple(steps))
+        cert = DropCertificate(ctx.table_hash, ctx.w, tuple(steps))
         return DropResult(True, cert)
     if max_nodes > 0:
         found, truncated = _search(ctx, full, max_nodes=max_nodes)
         if found is not None:
-            cert = DropCertificate(table_hash, w, tuple(found))
+            cert = DropCertificate(ctx.table_hash, ctx.w, tuple(found))
             return DropResult(True, cert)
     else:
         truncated = True
-    remaining = [sections[i] for i in range(len(sections)) if stuck & ctx.bit[i]]
+    remaining = [ctx.sections[i] for i in _bits(stuck)]
     return DropResult(False, None, remaining, search_truncated=truncated)
 
 
@@ -433,24 +430,18 @@ def _parse_step(ctx: DropContext, step) -> tuple:
     return rule, where if 0 <= where < ctx.n else None, side, keys
 
 
-def replay_certificate(cert: DropCertificate, tt: TensorTable,
-                       w: TwistVector,
-                       context: DropContext | None = None) -> bool:
+def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
     """Re-run a certificate step by step against the drop rules.
 
-    True iff the certificate is bound to this table's hash and to `w`, each
-    step is exactly the drop its rule allows at that place at that moment
-    (same side, same set of sections), and the final state is empty.
+    True iff the certificate is bound to the context's table hash and `w`,
+    each step is exactly the drop its rule allows at that place at that
+    moment (same side, same set of sections), and the final state is empty.
     Raises MalformedCertificate for a step that cannot be read.
     """
     if cert.version != CERTIFICATE_VERSION:
         raise MalformedCertificate(f"unsupported version {cert.version}")
-    if cert.table_hash != tt.base.hash or cert.w != w:
+    if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
         return False
-    if context is not None:
-        ctx = context
-    else:
-        ctx = DropContext(tt, w, extract_potential_sections(tt, w))
     key_of = [(s.row, s.start, s.end) for s in ctx.sections]
     alive = (1 << len(ctx.sections)) - 1
     for step in cert.steps:
@@ -459,7 +450,7 @@ def replay_certificate(cert: DropCertificate, tt: TensorTable,
             return False
         found = _find(ctx, alive, rule, where)
         if found is None or found[0] != side \
-                or sorted([key_of[i] for i in found[1]]) != keys:
+                or sorted([key_of[i] for i in _bits(found[1])]) != keys:
             return False
-        alive &= ~_mask(ctx, found[1])
+        alive &= ~found[1]
     return alive == 0

@@ -116,15 +116,14 @@ def _cycle1_side(klass: DegeneracyClass,
 
 
 def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
-                 w: TwistVector, sections: list[PotentialSection],
-                 degs: tuple[int, ...]) -> str | None:
+                 ctx: DropContext) -> str | None:
     j0, i0, i1 = klass.j0, klass.i0, klass.i1
-    secs = _sections_of_row(sections, (j0 - 1, j0 - 1))
+    secs = _sections_of_row(ctx.sections, (j0 - 1, j0 - 1))
     has_left = any(s.end < i0 for s in secs)
     has_right = any(s.start > i1 for s in secs)
     if not (has_left and has_right):
         return "cycle2_a"
-    ext = w.extended()
+    ext = ctx.w.extended()
     n = table.n_columns
     a_i0 = table.a[i0 - 1][j0 - 1]
     a_after = (
@@ -135,30 +134,28 @@ def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
     if (
         2 * a_i0 == ext[i0] - 2
         and 2 * a_after == ext[i1 + 1] + 2
-        and degs[i0 - 1] == 2
-        and degs[i1 - 1] == 2
+        and ctx.degree[i0 - 1] == 2
+        and ctx.degree[i1 - 1] == 2
     ):
         return "cycle2_c"
     return None
 
 
-def _default_invariants(table: VanishingTable,
-                        sections: list[PotentialSection]) -> list[str]:
+def _default_invariants(table: VanishingTable, ctx: DropContext) -> list[str]:
     """Structural facts checked at the default multidegree."""
     out = []
-    n = table.n_columns
-    crossing = [0] * (n + 1)
-    per_row: dict[tuple[int, int], int] = {}
-    for s in sections:
-        per_row[s.row] = per_row.get(s.row, 0) + 1
-        for i in range(s.start, s.end):
-            crossing[i] += 1
-    for i in range(1, n):
-        if crossing[i] > 3:
-            out.append(f"spanning_count {crossing[i]} > 3 at column {i}")
+    cover = ctx.cover
+    for i in range(1, ctx.n):
+        # sections covering 1-based columns i and i + 1
+        crossing = (cover[i - 1] & cover[i]).bit_count()
+        if crossing > 3:
+            out.append(f"spanning_count {crossing} > 3 at column {i}")
     n_swaps = len(table.swaps)
     if n_swaps > table.rho:
         out.append(f"{n_swaps} swaps exceed rho = {table.rho}")
+    per_row: dict[tuple[int, int], int] = {}
+    for s in ctx.sections:
+        per_row[s.row] = per_row.get(s.row, 0) + 1
     exc_rows = {j for (_, j) in table.exceptional}
     for row, cnt in per_row.items():
         if cnt > 1 and not (row[0] in exc_rows or row[1] in exc_rows):
@@ -185,11 +182,11 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
     tried = 0
     for pos, w in enumerate(iter_candidate_multidegrees(table)):
         sections = extract_potential_sections(tt, w)
-        if pos == 0:
-            violations = tuple(_default_invariants(table, sections))
-        tried += 1
         context = DropContext(tt, w, sections)
-        result = drop_all(tt, w, sections, context=context)
+        if pos == 0:
+            violations = tuple(_default_invariants(table, context))
+        tried += 1
+        result = drop_all(context)
         if not result.success:
             diagnostics.append(
                 f"candidate {pos}: {len(result.remaining)} sections stuck"
@@ -202,13 +199,13 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
                 diagnostics.append(f"candidate {pos}: cycle1 side condition fails")
                 continue
         elif klass.kind == "cycle2":
-            side = _cycle2_side(table, klass, w, sections, context.degree)
+            side = _cycle2_side(table, klass, context)
             if side is None:
                 diagnostics.append(f"candidate {pos}: cycle2 side condition fails")
                 continue
         else:
             side = SIDE_NOT_APPLICABLE
-        if not replay_certificate(result.certificate, tt, w, context=context):
+        if not replay_certificate(result.certificate, context):
             diagnostics.append(f"candidate {pos}: certificate does not replay")
             continue
         certificate = result.certificate
@@ -454,6 +451,8 @@ def verify_family(config: FamilyConfig) -> Report:
         raise ValueError(f"verification is defined for r = 6, got r = {config.r}")
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
+    if config.mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"mode must be exhaustive or sampled, got {config.mode!r}")
     if config.mode == "sampled" and config.n is None:
         raise ValueError("sampled mode needs n")
     if config.n is not None and config.n < 0:

@@ -122,7 +122,7 @@ def test_criterion_1_golden_example():
     assert per_row[(2, 2)] == [(5, 7), (12, 12)]
     assert per_row[(2, 3)] == [(7, 11)]
 
-    result = drop_all(tt, w, sections)
+    result = drop_all(DropContext(tt, w, sections))
     assert result.success
     assert set(result.certificate.rule_iii_blocks()) == {(5, 6), (7, 16), (17, 18)}
     _announce("1", "g22 example: default w exact, 29 sections, blocks 5-6/7-16/17-18")
@@ -233,7 +233,8 @@ def test_criterion_5c_drop_order_invariance():
     for _, table in enum6.iter_indices(enum6.sample_indices(40, seed=54)):
         tt = build_tensor_table(table)
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
-        stuck = drop_all(tt, w, max_nodes=0)
+        stuck = drop_all(DropContext(tt, w, extract_potential_sections(tt, w)),
+                         max_nodes=0)
         if not stuck.success and len(stuck.remaining) <= 12:
             instances.append((table, tt, w, stuck.remaining))
         if len(instances) >= 200:
@@ -243,7 +244,7 @@ def test_criterion_5c_drop_order_invariance():
     verdicts = {True: 0, False: 0}
     for table, tt, w, secs in instances:
         ctx = DropContext(tt, w, secs)
-        engine = drop_all(tt, w, secs, max_nodes=200_000)
+        engine = drop_all(ctx, max_nodes=200_000)
         assert engine.success == exhaustive_order_verdict(ctx, len(secs))
         verdicts[engine.success] += 1
     assert verdicts[False] > 0 and verdicts[True] > 0

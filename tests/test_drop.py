@@ -20,7 +20,6 @@ from llschain.drop import (
     _all_actions,
     _find,
     _greedy,
-    _mask,
     _search,
     _semicritical,
     _step,
@@ -37,12 +36,20 @@ def g22_setup():
     return table, tt, w, secs
 
 
+def context(tt, w, secs=None):
+    """The drop context of (tt, w), over a fresh extraction by default."""
+    if secs is None:
+        secs = extract_potential_sections(tt, w)
+    return DropContext(tt, w, secs)
+
+
 def test_drop_g22_blocks_exact():
     _, tt, w, secs = g22_setup()
-    result = drop_all(tt, w, secs)
+    ctx = context(tt, w, secs)
+    result = drop_all(ctx)
     assert result.success
     assert set(result.certificate.rule_iii_blocks()) == {(5, 6), (7, 16), (17, 18)}
-    assert replay_certificate(result.certificate, tt, w)
+    assert replay_certificate(result.certificate, ctx)
     # every section dropped exactly once
     dropped = []
     for step in result.certificate.steps:
@@ -64,14 +71,14 @@ def test_drop_rho0_default_succeeds():
         for _, table in enum.iter_indices(enum.sample_indices(25, seed=g)):
             tt = build_tensor_table(table)
             w = default_multidegree(table)
-            result = drop_all(tt, w)
+            result = drop_all(context(tt, w))
             assert result.success, (g, table.table_hash())
 
 
 def test_single_section_drops_by_rule_i():
     _, tt, w, secs = g22_setup()
     lone = [s for s in secs if s.row == (0, 0)]
-    result = drop_all(tt, w, lone)
+    result = drop_all(context(tt, w, lone))
     assert result.success
     assert len(result.certificate.steps) == 1
     assert result.certificate.steps[0]["rule"] == "i"
@@ -120,7 +127,8 @@ def test_semicritical_sum_threshold():
 
 def test_replay_rejects_transposed_steps():
     _, tt, w, secs = g22_setup()
-    cert = drop_all(tt, w, secs).certificate
+    ctx = context(tt, w, secs)
+    cert = drop_all(ctx).certificate
     steps = list(cert.steps)
     # swapping two dependent rule-i steps breaks the minimality precondition
     for k in range(len(steps) - 1):
@@ -128,7 +136,7 @@ def test_replay_rejects_transposed_steps():
                 and steps[k]["column"] == steps[k + 1]["column"]:
             mutated = steps[:k] + [steps[k + 1], steps[k]] + steps[k + 2:]
             bad = DropCertificate(cert.table_hash, cert.w, tuple(mutated))
-            assert not replay_certificate(bad, tt, w)
+            assert not replay_certificate(bad, ctx)
             return
     pytest.fail("no adjacent same-column rule-i steps found")
 
@@ -136,21 +144,22 @@ def test_replay_rejects_transposed_steps():
 def test_replay_rejects_empty_certificate():
     _, tt, w, secs = g22_setup()
     empty = DropCertificate(g22_example().table_hash(), w, ())
-    assert not replay_certificate(empty, tt, w)
+    assert not replay_certificate(empty, context(tt, w, secs))
 
 
 def test_replay_rejects_wrong_w():
     table, tt, w, secs = g22_setup()
-    cert = drop_all(tt, w, secs).certificate
+    cert = drop_all(context(tt, w, secs)).certificate
     other = twist_from_threes(table.chain, table.d, (1, 5, 7, 16, 18, 21))
-    assert not replay_certificate(cert, tt, other)
+    assert not replay_certificate(cert, context(tt, other))
 
 
 def test_malformed_certificate_raises():
     _, tt, w, secs = g22_setup()
     with pytest.raises(MalformedCertificate):
         DropCertificate.from_json({"version": 1})
-    good = drop_all(tt, w, secs).certificate.to_json()
+    ctx = context(tt, w, secs)
+    good = drop_all(ctx).certificate.to_json()
     for bad in (dict(good, steps="ab"), dict(good, w={"c": [1]})):
         with pytest.raises(MalformedCertificate):
             DropCertificate.from_json(bad)
@@ -165,19 +174,20 @@ def test_malformed_certificate_raises():
     ):
         cert = DropCertificate(g22_example().table_hash(), w, (step,))
         with pytest.raises(MalformedCertificate):
-            replay_certificate(cert, tt, w)
+            replay_certificate(cert, ctx)
 
 
 def test_replay_rejects_column_outside_chain():
     table, tt, w, secs = g22_setup()
-    cert = drop_all(tt, w, secs).certificate
+    ctx = context(tt, w, secs)
+    cert = drop_all(ctx).certificate
     steps = list(cert.steps)
     k = next(k for k, s in enumerate(steps)
              if s.get("column") == table.n_columns)
     for column in (0, table.n_columns + 1):
         steps[k] = dict(steps[k], column=column)
         bad = DropCertificate(cert.table_hash, cert.w, tuple(steps))
-        assert not replay_certificate(bad, tt, w)
+        assert not replay_certificate(bad, ctx)
 
 
 def test_replay_binds_certificate_to_its_table():
@@ -189,11 +199,18 @@ def test_replay_binds_certificate_to_its_table():
     tt5, tt10 = build_tensor_table(t5), build_tensor_table(t10)
     w = default_multidegree(t5)
     assert default_multidegree(t10) == w
-    cert = drop_all(tt5, w).certificate
-    assert replay_certificate(cert, tt5, w)
-    assert not replay_certificate(cert, tt10, w)
+    ctx5, ctx10 = context(tt5, w), context(tt10, w)
+    cert = drop_all(ctx5).certificate
+    assert replay_certificate(cert, ctx5)
+    # the binding is checked against the context replay reads: a certificate
+    # naming another table, or another w, is rejected though its steps are
+    # valid drops there
+    assert not replay_certificate(cert, ctx10)
     rebound = DropCertificate(t10.hash, w, cert.steps)
-    assert replay_certificate(rebound, tt10, w)
+    assert replay_certificate(rebound, ctx10)
+    other = twist_from_threes(t10.chain, t10.d, (1, 5, 7, 16, 18, 21))
+    assert other != w
+    assert not replay_certificate(DropCertificate(t10.hash, other, cert.steps), ctx10)
 
 
 def test_search_certificates_replay():
@@ -206,19 +223,21 @@ def test_search_certificates_replay():
         tt = build_tensor_table(table)
         w = verify_table(table).w
         secs = extract_potential_sections(tt, w)
-        steps, truncated = _search(DropContext(tt, w, secs), (1 << len(secs)) - 1)
+        ctx = context(tt, w, secs)
+        steps, truncated = _search(ctx, (1 << len(secs)) - 1)
         assert steps is not None and not truncated
-        assert replay_certificate(DropCertificate(table.hash, w, tuple(steps)), tt, w)
+        assert replay_certificate(DropCertificate(table.hash, w, tuple(steps)), ctx)
         lengths.append(len(steps))
     assert lengths[0] == 23
 
 
 def test_certificate_json_round_trip():
     _, tt, w, secs = g22_setup()
-    cert = drop_all(tt, w, secs).certificate
+    ctx = context(tt, w, secs)
+    cert = drop_all(ctx).certificate
     again = DropCertificate.from_json(json.loads(json.dumps(cert.to_json())))
     assert again == cert
-    assert replay_certificate(again, tt, w)
+    assert replay_certificate(again, ctx)
 
 
 def exhaustive_order_verdict(ctx, n_sections, node_cap=400_000):
@@ -265,7 +284,7 @@ def small_drop_instances(n_success=20, n_failure=6):
     for _, table in enum6.iter_indices(enum6.sample_indices(2 * n_failure, seed=31)):
         tt = build_tensor_table(table)
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
-        result = drop_all(tt, w, max_nodes=0)
+        result = drop_all(context(tt, w), max_nodes=0)
         if result.success or len(result.remaining) > 12:
             continue
         out.append((table, tt, w, result.remaining))
@@ -279,7 +298,7 @@ def test_verdict_matches_exhaustive_order_search():
     verdicts = {True: 0, False: 0}
     for table, tt, w, secs in small_drop_instances():
         ctx = DropContext(tt, w, secs)
-        engine = drop_all(tt, w, secs, max_nodes=200_000)
+        engine = drop_all(ctx, max_nodes=200_000)
         exhaustive = exhaustive_order_verdict(ctx, len(secs))
         assert engine.success == exhaustive, table.table_hash()
         verdicts[engine.success] += 1
@@ -291,7 +310,7 @@ def test_failure_is_closed_state():
     # a failing drop returns a stuck state on which no rule applies
     found = 0
     for table, tt, w, secs in small_drop_instances(n_success=0, n_failure=4):
-        result = drop_all(tt, w, secs, max_nodes=50_000)
+        result = drop_all(context(tt, w, secs), max_nodes=50_000)
         if result.success:
             continue
         assert result.remaining
@@ -310,7 +329,7 @@ def test_rule_ii_never_drops_exceptional_rows():
     for _, table in enum.iter_indices(enum.sample_indices(40, seed=13)):
         tt = build_tensor_table(table)
         w = default_multidegree(table)
-        result = drop_all(tt, w)
+        result = drop_all(context(tt, w))
         if not result.success:
             continue
         exc = exceptional_rows(table)
@@ -343,7 +362,7 @@ def _reference_greedy(ctx, alive, steps):
         for x in sweep:
             while (found := _find(ctx, alive, "i", x)) is not None:
                 steps.append(_step(ctx, "i", x, *found))
-                alive &= ~_mask(ctx, found[1])
+                alive &= ~found[1]
                 progress = True
         if progress:
             continue
@@ -351,7 +370,7 @@ def _reference_greedy(ctx, alive, steps):
             found = _find(ctx, alive, rule, where, anchored)
             if found is not None:
                 steps.append(_step(ctx, rule, where, *found))
-                alive &= ~_mask(ctx, found[1])
+                alive &= ~found[1]
                 break
         else:
             break

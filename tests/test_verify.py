@@ -86,15 +86,73 @@ def test_cycle1_side_condition_content():
 
 def test_pass_certificates_replay_independently():
     # replay from scratch (fresh extraction, fresh context), not the
-    # shared-context fast path used inside verify_table
-    from llschain import build_tensor_table, replay_certificate
+    # context verify_table built for its own drop
+    from llschain import (
+        DropContext,
+        build_tensor_table,
+        extract_potential_sections,
+        replay_certificate,
+    )
 
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     for idx, table in enum.iter_indices(enum.sample_indices(40, seed=4711)):
         verdict = verify_table(table)
         assert verdict.passing
         tt = build_tensor_table(table)
-        assert replay_certificate(verdict.certificate, tt, verdict.w)
+        sections = extract_potential_sections(tt, verdict.w)
+        ctx = DropContext(tt, verdict.w, sections)
+        assert replay_certificate(verdict.certificate, ctx)
+
+
+def _reference_invariants(table, sections):
+    """The default-multidegree invariants, counting crossings section by
+    section over every column they cover."""
+    out = []
+    n = table.n_columns
+    crossing = [0] * (n + 1)
+    per_row = {}
+    for s in sections:
+        per_row[s.row] = per_row.get(s.row, 0) + 1
+        for i in range(s.start, s.end):
+            crossing[i] += 1
+    for i in range(1, n):
+        if crossing[i] > 3:
+            out.append(f"spanning_count {crossing[i]} > 3 at column {i}")
+    n_swaps = len(table.swaps)
+    if n_swaps > table.rho:
+        out.append(f"{n_swaps} swaps exceed rho = {table.rho}")
+    exc_rows = {j for (_, j) in table.exceptional}
+    for row, cnt in per_row.items():
+        if cnt > 1 and not (row[0] in exc_rows or row[1] in exc_rows):
+            out.append(f"row {row} disconnected without exceptional row")
+    return out
+
+
+def test_default_invariants_match_reference():
+    # the mask crossing count equals the per-section loop under random and
+    # adversarial placements, some of which break the spanning bound
+    import random
+
+    from llschain import DropContext, build_tensor_table, extract_potential_sections
+    from llschain.multidegree import twist_from_threes
+
+    rng = random.Random(7)
+    enum = TableEnumerator(21, 6, 24, 0)
+    cases = violating = 0
+    for _, table in enum.iter_indices(enum.sample_indices(300, seed=3)):
+        tt = build_tensor_table(table)
+        genus1 = [i + 1 for i, g in enumerate(table.chain.genera) if g == 1]
+        for threes in (tuple(sorted(rng.sample(genus1, 6))),
+                       (16, 17, 18, 19, 20, 21)):
+            w = twist_from_threes(table.chain, table.d, threes)
+            sections = extract_potential_sections(tt, w)
+            expected = _reference_invariants(table, sections)
+            ctx = DropContext(tt, w, sections)
+            assert verify_module._default_invariants(table, ctx) == expected
+            cases += 1
+            violating += bool(expected)
+    assert cases == 600
+    assert violating >= 5
 
 
 def test_verdict_json_shape():
@@ -250,6 +308,15 @@ def test_family_certificate_stream_pinned():
         report = verify_family(FamilyConfig(**spec, emit_certificates=True))
         assert report.passed == report.verified
         assert report.stream_hash == stream_hash
+
+
+def test_family_rejects_unknown_mode(tmp_path):
+    out = tmp_path / "v.jsonl"
+    config = FamilyConfig(g=21, r=6, d=24, rho_max=0, mode="exhaustve",
+                          limit=10, out_path=str(out))
+    with pytest.raises(ValueError, match="mode"):
+        verify_family(config)
+    assert not out.exists()
 
 
 def test_family_sampled_mode(tmp_path):
