@@ -61,20 +61,19 @@ def _ram_vectors(rows: int, budget: int) -> list[tuple[int, ...]]:
     if budget >= 1:
         out.append(tuple([0] * (rows - 1) + [1]))
     if budget >= 2:
-        out.append(tuple([0] * (rows - 2) + [1, 1]))
+        if rows >= 2:
+            out.append(tuple([0] * (rows - 2) + [1, 1]))
         out.append(tuple([0] * (rows - 1) + [2]))
     return sorted(out)
 
 
 class _Choice(NamedTuple):   # a tuple: cheaper to build than a frozen dataclass
     new_a: tuple[int, ...]
-    key: tuple[int, ...]     # new_a sorted: the counting DP's state
     cost: int
     swaps: int
 
 
-def _column_choices(a: tuple[int, ...], budget: int, d: int,
-                    keys: dict[tuple[int, ...], tuple[int, ...]]) -> list[_Choice]:
+def _column_choices(a: tuple[int, ...], budget: int, d: int) -> list[_Choice]:
     """All valid column continuations from row values ``a``, canonical order.
 
     Only valid choices are built.  For each delta row the base successor
@@ -82,16 +81,12 @@ def _column_choices(a: tuple[int, ...], budget: int, d: int,
     collide only where the row just below the delta row lands on it, and
     then that row must take slack.  A slack row is admitted when its new
     value is at most ``d`` and free, or freed by the other slack row.
-
-    ``keys`` maps each sorted successor to one shared tuple, so the many
-    choices that lead to one DP state hold one key between them.
     """
     rows = len(a)
     out: list[_Choice] = []
 
     def emit(new_a: list[int], cost: int, swaps: int) -> None:
-        key = tuple(sorted(new_a))
-        out.append(_Choice(tuple(new_a), keys.setdefault(key, key), cost, swaps))
+        out.append(_Choice(tuple(new_a), cost, swaps))
 
     full = [j for j in range(rows) if a[j] >= d]   # rows that cannot gain one
     if len(full) > 1:
@@ -173,6 +168,8 @@ class TableEnumerator:
             raise EnumerationError(f"infeasible family: rho = {rho} < 0")
         if rho_max is None:
             rho_max = min(rho, MAX_BUDGET)
+        if rho_max < 0:
+            raise EnumerationError(f"rho_max must be non-negative, got {rho_max}")
         if rho_max > rho:
             raise EnumerationError(f"rho_max {rho_max} exceeds rho = {rho}")
         if rho_max > MAX_BUDGET:
@@ -192,7 +189,6 @@ class TableEnumerator:
         ]
         self.chain: ChainCurve = build_elliptic_chain(g)
         self._memo: dict[tuple, tuple[int, int, int]] = {}
-        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._nodes: dict[tuple, tuple[list[tuple], list[int]]] = {}
 
     # -- counting ----------------------------------------------------------
@@ -208,8 +204,9 @@ class TableEnumerator:
         if hit is not None:
             return hit
         n0 = n1 = n2 = 0
-        for ch in _column_choices(vals, budget, self.d, self._keys):
-            c0, c1, c2 = self._vector(i + 1, ch.key, budget - ch.cost)
+        for ch in _column_choices(vals, budget, self.d):
+            c0, c1, c2 = self._vector(i + 1, tuple(sorted(ch.new_a)),
+                                      budget - ch.cost)
             if ch.swaps:   # a column choice adds at most one swap
                 n1, n2 = n1 + c0, n2 + c1 + c2
             else:
@@ -241,8 +238,8 @@ class TableEnumerator:
               swaps: int) -> tuple[list[tuple], list[int]]:
         """The children of a state after column ``i``, and their prefix sums.
 
-        A child is ``(a, key, budget, swaps)``: its labeled row values, their
-        sorted ``_count`` key, the budget left and the capped swap count.
+        A child is ``(a, budget, swaps)``: its labeled row values, the budget
+        left and the capped swap count.
         ``cums[k]`` is the stratum count of children ``0..k``.  Column -1 is
         the root, whose children are the initial states.
         """
@@ -251,15 +248,14 @@ class TableEnumerator:
         if node is not None:
             return node
         if i < 0:
-            children = [(a1, a1, b, 0) for a1, b in self._roots()]
+            children = [(a1, b, 0) for a1, b in self._roots()]
         else:
             children = [
-                (ch.new_a, ch.key, budget - ch.cost,
-                 min(MAX_BUDGET, swaps + ch.swaps))
-                for ch in _column_choices(a, budget, self.d, self._keys)
+                (ch.new_a, budget - ch.cost, min(MAX_BUDGET, swaps + ch.swaps))
+                for ch in _column_choices(a, budget, self.d)
             ]
-        cums = list(accumulate(self._count(i + 1, key, b, s)
-                               for _, key, b, s in children))
+        cums = list(accumulate(self._count(i + 1, tuple(sorted(new_a)), b, s)
+                               for new_a, b, s in children))
         if len(self._nodes) >= _NODE_CAP:
             self._nodes.clear()
         node = self._nodes[node_key] = (children, cums)
@@ -282,7 +278,7 @@ class TableEnumerator:
         for k in range(first, len(children)):
             if k and cums[k] == cums[k - 1]:
                 continue   # the stratum accepts nothing below this child
-            a, _, budget, swaps = children[k]
+            a, budget, swaps = children[k]
             cols.append(a)
             if i == self.g:
                 yield self._materialize(cols)

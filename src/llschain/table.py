@@ -24,12 +24,12 @@ Column-local facts are hash-consed: :func:`column` keeps one :class:`Column`
 per distinct ``(genus, d, a_i, b_i)``, holding the column's tensor sums, its
 in-column swaps, exceptional rows and box-adding row, and its share of the
 checks of :func:`validate_table`.  Families repeat their columns heavily (a
-few hundred distinct columns across tens of thousands of tables), so each
-fact is computed once per distinct column rather than once per table.  The
-shape rows ``lam[i]``, ``bar_lam[i]`` and ``bar_counts[i]`` are cached the
-same way on ``(a^{i+1}, g(i))``.  Both caches are cleared whenever they
-reach ``_CACHE_CAP`` entries, which bounds their memory on runs that touch
-many columns, such as uniform samples.  The free functions
+canonical range of 1,500 tables has under a hundred distinct columns,
+2,000 uniform two-swap samples about 6,000), so each fact is computed once per
+distinct column rather than once per table.  The shape rows ``lam[i]``,
+``bar_lam[i]`` and ``bar_counts[i]`` are cached the same way on
+``(a^{i+1}, g(i))``.  Both are ``lru_cache``s of ``_CACHE_CAP`` entries,
+which bounds their memory on runs that touch many columns.  The free functions
 :func:`lambda_sequence`, :func:`find_swaps` and :func:`exceptional_rows`
 compute the same facts afresh from the whole table.
 """
@@ -212,16 +212,14 @@ def pair_list(r: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-# entries per cache before it is cleared: a full column cache holds about
-# 8.4 MB (1.0 kB per column), a full shape-row cache about 3.4 MB (0.4 kB per
-# row).  2,000 uniform two-swap samples of (23,6,26) hold 5,811-5,972
-# distinct columns (seeds 1-8 and 424242), so they fit without a clear.
-# 16,000 seed-1 samples in one process hold 9,164: the column cache clears
-# once and builds 15,538 columns, 0.97 per table against 0.57 uncapped.
+# entries per cache, least recently used evicted first: a full column cache
+# holds about 8.4 MB (1.0 kB per column), a full shape-row cache about 3.4 MB
+# (0.4 kB per row).  2,000 uniform two-swap samples of (23,6,26) hold
+# 5,811-5,972 distinct columns (seeds 1-8 and 424242), so they fit.  16,000
+# seed-1 samples in one process hold 9,164 and build 9,709 columns, 0.61 per
+# table against 0.57 uncapped.
 _CACHE_CAP = 8192
 _NO_ROWS: frozenset[int] = frozenset()
-_COLUMNS: dict[tuple, "Column"] = {}
-_SHAPE_ROWS: dict[tuple, tuple] = {}
 
 
 class Column:
@@ -292,32 +290,16 @@ def _column_fault(d: int, a, b, sums) -> tuple | None:
     return None
 
 
-def _cache_put(cache: dict, key, value):
-    if len(cache) >= _CACHE_CAP:
-        cache.clear()
-    cache[key] = value
-    return value
+# column(genus, d, a, b): the interned Column of that key
+column = lru_cache(maxsize=_CACHE_CAP)(Column)
 
 
-def column(genus: int, d: int, a: tuple[int, ...],
-           b: tuple[int, ...]) -> Column:
-    """The interned :class:`Column` of (genus, d, a, b)."""
-    key = (genus, d, a, b)
-    col = _COLUMNS.get(key)
-    if col is None:
-        col = _cache_put(_COLUMNS, key, Column(genus, d, a, b))
-    return col
-
-
+@lru_cache(maxsize=_CACHE_CAP)
 def _shape_row(nxt: tuple[int, ...], gi: int) -> tuple:
     """(lam, bar_lam, bar_counts) rows for a^{i+1} = nxt and g(i) = gi."""
-    key = (nxt, gi)
-    row = _SHAPE_ROWS.get(key)
-    if row is None:
-        lam = tuple(gi + j - v for j, v in enumerate(nxt))
-        bar = tuple(gi + j - v for j, v in enumerate(sorted(nxt)))
-        row = _cache_put(_SHAPE_ROWS, key, (lam, bar, _bar_counts(bar)))
-    return row
+    lam = tuple(gi + j - v for j, v in enumerate(nxt))
+    bar = tuple(gi + j - v for j, v in enumerate(sorted(nxt)))
+    return lam, bar, _bar_counts(bar)
 
 
 def table_from_columns(chain: ChainCurve, r: int, d: int,

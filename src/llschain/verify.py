@@ -25,6 +25,7 @@ along the way.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -295,16 +296,9 @@ class Report:
         }
 
 
-_WORKER_CACHE: dict[tuple, TableEnumerator] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _worker_enumerator(spec: tuple) -> TableEnumerator:
-    enum = _WORKER_CACHE.get(spec)
-    if enum is None:
-        g, r, d, rho_max, stratum = spec
-        enum = TableEnumerator(g, r, d, rho_max, stratum)
-        _WORKER_CACHE[spec] = enum
-    return enum
+    return TableEnumerator(*spec)
 
 
 def _new_counters() -> dict:

@@ -114,6 +114,16 @@ def test_cli_flag_errors(capsys, tmp_path, monkeypatch):
     assert captured.out == ""
     assert "n must be non-negative" in captured.err
     assert not out.exists()
+    # a negative defect budget is refused, not counted as an empty family
+    for cmd in ("count", "oracle"):
+        assert main([cmd, "--g", "21", "--r", "6", "--d", "24",
+                     "--rho-max", "-1"]) == 2
+    assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "-1",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rho_max must be non-negative" in captured.err
+    assert not out.exists()
     # enumerate checks its flags before it creates --out
     tables = tmp_path / "t.jsonl"
     for flags in (["--g", "6", "--r", "1", "--d", "4", "--mode", "sampled"],

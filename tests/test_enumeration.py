@@ -50,9 +50,13 @@ def test_rho1_count_matches_oracle():
 def test_more_oracle_agreement():
     for (g, r, d, rho_max) in [(5, 1, 4, 0), (4, 1, 3, 0), (6, 2, 6, 0),
                                (5, 2, 6, 1), (4, 1, 4, 2), (5, 1, 5, 2),
-                               (6, 1, 5, 2), (5, 2, 6, 2)]:
+                               (6, 1, 5, 2), (5, 2, 6, 2), (2, 0, 2, 2),
+                               (3, 0, 2, 2), (4, 0, 3, 2)]:
         enum = TableEnumerator(g, r, d, rho_max)
         assert enum.total() == count_small_oracle(g, r, d, rho_max), (g, r, d)
+        # each table is streamed once: a one-row family has no (1, 1) root
+        hashes = [table.hash for _, table in enum.iter_all()]
+        assert len(set(hashes)) == len(hashes) == enum.total(), (g, r, d)
 
 
 def test_rho0_counts_are_rectangle_tableaux():
@@ -161,6 +165,8 @@ def test_enumerate_guards():
         TableEnumerator(4, 1, 2)  # rho < 0
     with pytest.raises(EnumerationError):
         TableEnumerator(6, 1, 4, 1)  # rho_max > rho
+    with pytest.raises(EnumerationError, match="non-negative"):
+        TableEnumerator(21, 6, 24, -1)
     with pytest.raises(EnumerationError):
         TableEnumerator(23, 6, 26, 3)
     with pytest.raises(EnumerationError):
@@ -247,7 +253,7 @@ def _slack_menu(rows, spare):
     return menu
 
 
-def _reference_choices(a, budget, d, keys):
+def _reference_choices(a, budget, d):
     """Every (delta row, slack) combination, built and then filtered."""
     rows = len(a)
     out = []
@@ -278,19 +284,15 @@ def _reference_choices(a, budget, d, keys):
                         continue
                     if (a[j] - a[k] > 0) != (new_a[j] - new_a[k] > 0):
                         swaps += 1
-            key = tuple(sorted(new_a))
-            out.append(_Choice(tuple(new_a), keys.setdefault(key, key),
-                               base_cost + sum(extra.values()), swaps))
+            out.append(_Choice(tuple(new_a), base_cost + sum(extra.values()),
+                               swaps))
     return out
 
 
 def _assert_choices_match(a, budget, d):
-    keys, ref_keys = {}, {}
-    got = _column_choices(a, budget, d, keys)
-    # _Choice equality covers new_a, key, cost and swaps, in order
-    assert got == _reference_choices(a, budget, d, ref_keys), (a, budget, d)
-    assert keys == ref_keys
-    assert all(ch.key is keys[ch.key] for ch in got)
+    got = _column_choices(a, budget, d)
+    # _Choice equality covers new_a, cost and swaps, in order
+    assert got == _reference_choices(a, budget, d), (a, budget, d)
     assert all(ch.swaps <= 1 for ch in got)  # the counting DP relies on this
 
 
@@ -349,8 +351,8 @@ def _reference_walk(enum, start, count):
 
     def walk(i, states, skip, cols):
         entered = False
-        for a, key, budget, swaps in states:
-            sub = enum._count(i, key, budget, swaps)
+        for a, budget, swaps in states:
+            sub = enum._count(i, tuple(sorted(a)), budget, swaps)
             if skip >= sub:
                 skip -= sub
                 continue
@@ -360,9 +362,9 @@ def _reference_walk(enum, start, count):
                 yield enum._materialize(cols)
             else:
                 yield from walk(i + 1, (
-                    (ch.new_a, ch.key, budget - ch.cost,
+                    (ch.new_a, budget - ch.cost,
                      min(MAX_BUDGET, swaps + ch.swaps))
-                    for ch in _column_choices(a, budget, enum.d, {})
+                    for ch in _column_choices(a, budget, enum.d)
                 ), skip, cols)
             cols.pop()
             skip = 0
@@ -370,7 +372,7 @@ def _reference_walk(enum, start, count):
             raise EnumerationError("offset out of range")
 
     stop = min(start + count, enum.total())
-    roots = ((a1, a1, budget, 0) for a1, budget in enum._roots())
+    roots = ((a1, budget, 0) for a1, budget in enum._roots())
     return [t for _, t in zip(range(start, stop), walk(0, roots, start, []))]
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from llschain import (
     table_from_columns,
     table_from_lambda,
     validate_table,
+    verify_table,
 )
 from llschain import table as table_module
 from llschain.enumeration import TableEnumerator
@@ -410,12 +413,23 @@ def test_oracle_tables_reach_every_outcome():
 
 
 def test_column_cache_is_cleared_at_its_cap(monkeypatch):
-    monkeypatch.setattr(table_module, "_CACHE_CAP", 5)
-    monkeypatch.setattr(table_module, "_COLUMNS", {})
-    monkeypatch.setattr(table_module, "_SHAPE_ROWS", {})
-    enum = TableEnumerator(22, 6, 25)
-    for _, table in enum.iter_indices(enum.sample_indices(20, seed=2)):
+    def verdict(table):
+        return json.dumps(verify_table(table).to_json(with_certificate=True),
+                          sort_keys=True)
+
+    enum = TableEnumerator(22, 6, 25, None, "has_swap")
+    indices = enum.sample_indices(200, seed=2)
+    free = [verdict(table) for _, table in enum.iter_indices(indices)]
+    monkeypatch.setattr(table_module, "column",
+                        functools.lru_cache(maxsize=5)(table_module.Column))
+    monkeypatch.setattr(table_module, "_shape_row", functools.lru_cache(
+        maxsize=5)(table_module._shape_row.__wrapped__))
+    capped = []
+    for _, table in enum.iter_indices(indices):
         validate_table(table)
         assert table.shape == lambda_sequence(table)
-        assert len(table_module._COLUMNS) <= 5
-        assert len(table_module._SHAPE_ROWS) <= 5
+        capped.append(verdict(table))
+        assert table_module.column.cache_info().currsize <= 5
+        assert table_module._shape_row.cache_info().currsize <= 5
+    assert table_module.column.cache_info().misses > 5
+    assert capped == free
