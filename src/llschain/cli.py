@@ -34,7 +34,7 @@ from .table import (
     rho_accounting,
     validate_table,
 )
-from .tensor import build_tensor_table, extract_potential_sections
+from .tensor import build_tensor_table
 from .verify import FamilyConfig, verify_family
 
 
@@ -154,8 +154,7 @@ def _cmd_default_md(args) -> int:
 def _cmd_drop(args) -> int:
     table = _load_table(args)
     w = _load_w(args, table)
-    tt = build_tensor_table(table)
-    ctx = DropContext(tt, w, extract_potential_sections(tt, w))
+    ctx = DropContext(table, w)
     result = drop_all(ctx)
     if args.trace and result.certificate is not None:
         for k, step in enumerate(result.certificate.steps):

@@ -25,17 +25,17 @@ sweeps, then rule (ii), then rule-(iii) blocks, to a fixpoint) and falls
 back to a bounded exhaustive search over rule orders if the greedy schedule
 stalls.  Every drop is recorded in a replayable certificate.
 
-One `DropContext` per (table, w) pair holds everything the rules read, and
-it sees the sections one way only: as bitmasks, bit i standing for
-`sections[i]`.  A state is the mask of the live sections.  The greedy
-schedule, the search and replay all ask one primitive, `_find`, which drop
-a rule allows at a column or block in a given state; it answers
-(side, mask), the mask of the sections to drop.  `_step` alone writes
-certificate steps.  A certificate is bound to the hash of its table and to
-`w`, and replay checks that binding against the context it replays on; it
-accepts a certificate iff each step is exactly the drop its rule allows at
-that place at that moment (same rule, same side, same set of sections) and
-nothing remains at the end.
+One `DropContext(table, w)` per candidate holds everything the rules read,
+and it sees the sections one way only: as bitmasks, bit i standing for
+`sections[i]`, the `(row, start, end)` key a step names it by.  A state is
+the mask of the live sections.  The greedy schedule, the search and replay
+all ask one primitive, `_find`, which drop a rule allows at a column or
+block in a given state; it answers (side, mask), the mask of the sections
+to drop.  `_step` alone writes certificate steps.  A certificate is bound
+to the hash of its table and to `w`, and replay checks that binding against
+the context it replays on; it accepts a certificate iff each step is
+exactly the drop its rule allows at that place at that moment (same rule,
+same side, same set of sections) and nothing remains at the end.
 
 `_find` reads the state only through the mask of the place it is asked
 about: `alive & cover[x]` at a column x (rules i and ii), the live sections
@@ -55,8 +55,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multidegree import MultidegreeError, TwistVector, component_degrees
-from .tensor import PotentialSection, TensorTable, pair_positions
+from .multidegree import (MultidegreeError, TwistVector, component_degrees,
+                          is_unimaginative)
+from .table import VanishingTable, pair_list
+from .tensor import PotentialSection, pair_positions, section_runs
 
 CERTIFICATE_VERSION = 1
 
@@ -80,7 +82,10 @@ def _bits(mask: int) -> list[int]:
 class DropContext:
     """Static data shared by all rule evaluations for one (table, w) pair.
 
-    Sections are read only through masks, bit i standing for
+    The rules are defined only for an unimaginative `w`, so any other is
+    rejected; one pass over :func:`~llschain.tensor.section_runs` then
+    records each section's key, its row's position (``pair_of``) and its
+    bits.  Sections are read only through masks, bit i standing for
     ``sections[i]``: ``cover[x]`` holds the sections covering column x,
     ``starts[x]`` and ``ends[x]`` those starting or ending there, and
     ``reach[(u, v)]`` those meeting block (u, v), the OR of ``cover[u..v]``.
@@ -94,31 +99,35 @@ class DropContext:
         "starts", "ends", "reach",
     )
 
-    def __init__(self, tt: TensorTable, w: TwistVector,
-                 sections: list[PotentialSection]):
-        base = tt.base
-        self.table_hash = base.hash
+    def __init__(self, table: VanishingTable, w: TwistVector):
+        runs = section_runs(table, w)
+        if not is_unimaginative(w, table.chain):
+            raise MultidegreeError("twist vector is not unimaginative")
+        cols = table.columns
+        self.table_hash = table.hash
         self.w = w
-        self.n = base.n_columns
-        self.d2 = 2 * base.d
-        self.genera = base.chain.genera
-        self.degree = component_degrees(w, base.chain)
-        self.delta = base.shape.delta[1:]
-        self.exc = [col.exc for col in base.columns]
-        self.sections = sections
-        pos = pair_positions(base.r)
-        self.pair_of = [pos[s.row] for s in sections]
-        self.ta = tt.ta
-        self.tb = tt.tb
-        self.cover = [0] * self.n
-        self.starts = [0] * self.n
-        self.ends = [0] * self.n
-        for idx, s in enumerate(sections):
+        self.n = n = table.n_columns
+        self.d2 = 2 * table.d
+        self.genera = table.chain.genera
+        self.degree = component_degrees(w, table.chain)
+        self.delta = table.shape.delta[1:]
+        self.exc = [col.exc for col in cols]
+        self.ta = tuple(col.ta for col in cols)
+        self.tb = tuple(col.tb for col in cols)
+        pairs = pair_list(table.r)
+        sections, pair_of = [], []
+        cover, starts, ends = [0] * n, [0] * n, [0] * n
+        for idx, (p, s, e) in enumerate(runs):
+            sections.append(PotentialSection(pairs[p], s + 1, e + 1))
+            pair_of.append(p)
             bit = 1 << idx
-            self.starts[s.start - 1] |= bit
-            self.ends[s.end - 1] |= bit
-            for x in range(s.start - 1, s.end):
-                self.cover[x] |= bit
+            starts[s] |= bit
+            ends[e] |= bit
+            for x in range(s, e + 1):
+                cover[x] |= bit
+        self.sections, self.pair_of = sections, pair_of
+        self.cover, self.starts, self.ends = cover, starts, ends
+        pos = pair_positions(table.r)
         self.dd_pair = [pos[dj, dj] if dj is not None else None
                         for dj in self.delta]
         self.reach = {}
@@ -379,9 +388,6 @@ class DropResult:
     remaining: list[PotentialSection] = field(default_factory=list)
     search_truncated: bool = False
 
-    def __bool__(self) -> bool:
-        return self.success
-
 
 def drop_all(ctx: DropContext, max_nodes: int = _SEARCH_MAX_NODES) -> DropResult:
     """Try to drop every section of `ctx`; failure is a value, not an error."""
@@ -442,7 +448,6 @@ def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
         raise MalformedCertificate(f"unsupported version {cert.version}")
     if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
         return False
-    key_of = [(s.row, s.start, s.end) for s in ctx.sections]
     alive = (1 << len(ctx.sections)) - 1
     for step in cert.steps:
         rule, where, side, keys = _parse_step(ctx, step)
@@ -450,7 +455,7 @@ def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
             return False
         found = _find(ctx, alive, rule, where)
         if found is None or found[0] != side \
-                or sorted([key_of[i] for i in _bits(found[1])]) != keys:
+                or sorted([ctx.sections[i] for i in _bits(found[1])]) != keys:
             return False
         alive &= ~found[1]
     return alive == 0

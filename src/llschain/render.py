@@ -65,7 +65,7 @@ def _covered(sections) -> set[tuple[int, int, int]]:
 
 
 def render_tensor_ascii(tt: TensorTable, w: TwistVector) -> str:
-    sections = extract_potential_sections(tt, w)
+    sections = extract_potential_sections(tt.base, w)
     cover = _covered(sections)
     width = len(str(tt.d2))
     lines = ["w:      " + render_multidegree_ascii(w)]
@@ -82,7 +82,7 @@ def render_tensor_ascii(tt: TensorTable, w: TwistVector) -> str:
 
 
 def render_tensor_latex(tt: TensorTable, w: TwistVector) -> str:
-    sections = extract_potential_sections(tt, w)
+    sections = extract_potential_sections(tt.base, w)
     cover = _covered(sections)
     n = tt.n_columns
     header = multidegree_header(w)

@@ -11,13 +11,15 @@ column 1 and end in column N without strictness.
 A potential section is a maximal contiguous run of appearing columns,
 trimmed on the left until it potentially starts and on the right until it
 potentially ends.  Appearing columns shaved off in the trim belong to no
-section.
+section.  :func:`section_runs` is the one scan that finds them, read by
+``DropContext(table, w)`` and by :func:`extract_potential_sections`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .multidegree import MultidegreeError, TwistVector
 from .table import VanishingTable, pair_list
@@ -44,12 +46,6 @@ class TensorTable:
     def d2(self) -> int:
         return 2 * self.base.d
 
-    def pair_index(self, pair: tuple[int, int]) -> int:
-        try:
-            return pair_positions(self.base.r)[min(pair), max(pair)]
-        except KeyError:
-            raise ValueError(f"{pair} is not a row pair of this table") from None
-
 
 def build_tensor_table(table: VanishingTable) -> TensorTable:
     """The tensor table, from the sums cached on the table's columns."""
@@ -59,9 +55,9 @@ def build_tensor_table(table: VanishingTable) -> TensorTable:
                        tuple(col.tb for col in cols))
 
 
-@dataclass(frozen=True)
-class PotentialSection:
-    """Maximal support interval of one tensor row, columns 1-based inclusive."""
+class PotentialSection(NamedTuple):
+    """Maximal support interval of one tensor row, columns 1-based inclusive;
+    as a tuple, the key a certificate step names it by."""
 
     row: tuple[int, int]
     start: int
@@ -74,10 +70,12 @@ class PotentialSection:
         return {"row": list(self.row), "start": self.start, "end": self.end}
 
 
-def extract_potential_sections(tt: TensorTable, w: TwistVector) -> list[PotentialSection]:
-    """All potential sections in row-major order, left to right within a row."""
-    n = tt.n_columns
-    d2 = tt.d2
+def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, int]]:
+    """(pair position, first column, last column) of every potential section,
+    0-based, in row-major order, left to right within a row."""
+    cols = table.columns
+    n = len(cols)
+    d2 = 2 * table.d
     if w.n_components != n:
         raise MultidegreeError("twist vector length disagrees with table")
     if w.D != d2:
@@ -85,26 +83,32 @@ def extract_potential_sections(tt: TensorTable, w: TwistVector) -> list[Potentia
     if not w.bounded:
         raise MultidegreeError("twist vector is not bounded")
     ext = w.extended()
+    ta = [col.ta for col in cols]
+    tb = [col.tb for col in cols]
     out = []
-    for p, pair in enumerate(tt.pairs):
+    for p in range(len(pair_list(table.r))):
         x = 0
         while x < n:
-            ax = tt.ta[x][p]
-            bx = tt.tb[x][p]
-            if ax < ext[x + 1] or bx < d2 - ext[x + 2]:
+            if ta[x][p] < ext[x + 1] or tb[x][p] < d2 - ext[x + 2]:
                 x += 1
                 continue
-            run_start = x
+            s = x
             x += 1
-            while x < n and tt.ta[x][p] >= ext[x + 1] and tt.tb[x][p] >= d2 - ext[x + 2]:
+            while x < n and ta[x][p] >= ext[x + 1] and tb[x][p] >= d2 - ext[x + 2]:
                 x += 1
-            run_end = x - 1
-            s = run_start
-            while s <= run_end and s != 0 and tt.ta[s][p] == ext[s + 1]:
+            e = x - 1
+            while s <= e and s != 0 and ta[s][p] == ext[s + 1]:
                 s += 1
-            e = run_end
-            while e >= s and e != n - 1 and tt.tb[e][p] == d2 - ext[e + 2]:
+            while e >= s and e != n - 1 and tb[e][p] == d2 - ext[e + 2]:
                 e -= 1
             if s <= e:
-                out.append(PotentialSection(pair, s + 1, e + 1))
+                out.append((p, s, e))
     return out
+
+
+def extract_potential_sections(table: VanishingTable,
+                               w: TwistVector) -> list[PotentialSection]:
+    """All potential sections in row-major order, left to right within a row."""
+    pairs = pair_list(table.r)
+    return [PotentialSection(pairs[p], s + 1, e + 1)
+            for p, s, e in section_runs(table, w)]

@@ -4,8 +4,9 @@ For a single table, the verifier walks the candidate multidegrees in order
 and passes at the first one where every potential section drops and, for
 the two 3-cycle shapes, the extra side condition holds:
 
-  cycle1:  the row pairing the two first-swap rows has a unique potential
-           section whose support avoids both swap columns;
+  cycle1:  the tensor row (j0-1, j0), pairing the lower rows of the first
+           swap (j0, j0+1) and the second (j0-1, j0+1), has a unique
+           potential section whose support avoids both swap columns;
   cycle2:  one of three alternatives on the doubled shared row: (a) it has
            no potential sections on both sides of the swap columns, or its
            doubled value meets the twist boundary at offset (b) one, or
@@ -24,6 +25,7 @@ along the way.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import hashlib
@@ -44,11 +46,11 @@ from .table import (
     rho_accounting,
     validate_table,
 )
-from .tensor import PotentialSection, build_tensor_table, extract_potential_sections
 
 # Not called here; imported so that perfbench/tracer.py can wrap these names.
 from .multidegree import component_degrees  # noqa: F401
 from .table import exceptional_rows, find_swaps, lambda_sequence  # noqa: F401
+from .tensor import build_tensor_table, extract_potential_sections  # noqa: F401
 
 SIDE_NOT_APPLICABLE = "not_applicable"
 
@@ -101,16 +103,9 @@ class Verdict:
         return out
 
 
-def _sections_of_row(sections: list[PotentialSection],
-                     row: tuple[int, int]) -> list[PotentialSection]:
-    key = (min(row), max(row))
-    return [s for s in sections if s.row == key]
-
-
-def _cycle1_side(klass: DegeneracyClass,
-                 sections: list[PotentialSection]) -> str | None:
+def _cycle1_side(klass: DegeneracyClass, ctx: DropContext) -> str | None:
     j0, i0, i1 = klass.j0, klass.i0, klass.i1
-    secs = _sections_of_row(sections, (j0 - 1, j0))
+    secs = [s for s in ctx.sections if s.row == (j0 - 1, j0)]
     if len(secs) == 1 and not secs[0].covers(i0) and not secs[0].covers(i1):
         return "cycle1_unique_avoiding"
     return None
@@ -119,7 +114,7 @@ def _cycle1_side(klass: DegeneracyClass,
 def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
                  ctx: DropContext) -> str | None:
     j0, i0, i1 = klass.j0, klass.i0, klass.i1
-    secs = _sections_of_row(ctx.sections, (j0 - 1, j0 - 1))
+    secs = [s for s in ctx.sections if s.row == (j0 - 1, j0 - 1)]
     has_left = any(s.end < i0 for s in secs)
     has_right = any(s.start > i1 for s in secs)
     if not (has_left and has_right):
@@ -154,9 +149,7 @@ def _default_invariants(table: VanishingTable, ctx: DropContext) -> list[str]:
     n_swaps = len(table.swaps)
     if n_swaps > table.rho:
         out.append(f"{n_swaps} swaps exceed rho = {table.rho}")
-    per_row: dict[tuple[int, int], int] = {}
-    for s in ctx.sections:
-        per_row[s.row] = per_row.get(s.row, 0) + 1
+    per_row = collections.Counter(s.row for s in ctx.sections)
     exc_rows = {j for (_, j) in table.exceptional}
     for row, cnt in per_row.items():
         if cnt > 1 and not (row[0] in exc_rows or row[1] in exc_rows):
@@ -169,7 +162,6 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
     validate_table(table)
     breakdown = rho_accounting(table)
     klass = classify_degeneracy(table)
-    tt = build_tensor_table(table)
 
     lw_required = klass.kind in ("disjoint", "cycle2")
     lw_min = (
@@ -182,8 +174,7 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
     violations: tuple[str, ...] = ()
     tried = 0
     for pos, w in enumerate(iter_candidate_multidegrees(table)):
-        sections = extract_potential_sections(tt, w)
-        context = DropContext(tt, w, sections)
+        context = DropContext(table, w)
         if pos == 0:
             violations = tuple(_default_invariants(table, context))
         tried += 1
@@ -195,7 +186,7 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
             )
             continue
         if klass.kind == "cycle1":
-            side = _cycle1_side(klass, sections)
+            side = _cycle1_side(klass, context)
             if side is None:
                 diagnostics.append(f"candidate {pos}: cycle1 side condition fails")
                 continue

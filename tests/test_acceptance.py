@@ -42,7 +42,7 @@ from llschain.enumeration import TableEnumerator
 from llschain.multidegree import TwistVector, twist_from_threes
 from llschain.verify import FamilyConfig, verify_family
 
-from test_drop import exhaustive_order_verdict
+from test_drop import drop_from, exhaustive_order_verdict, mask_of
 from test_tensor import naive_sections
 
 MODE = os.environ.get("LLSCHAIN_ACCEPTANCE", "standard")
@@ -112,8 +112,9 @@ def test_criterion_1_golden_example():
                    36, 38, 41, 43, 45, 47)
     assert w.D == 50
 
-    tt = build_tensor_table(table)
-    sections = extract_potential_sections(tt, w)
+    ctx = DropContext(table, w)
+    sections = ctx.sections
+    assert sections == extract_potential_sections(table, w)
     assert len(sections) == 29
     per_row = {}
     for s in sections:
@@ -122,7 +123,7 @@ def test_criterion_1_golden_example():
     assert per_row[(2, 2)] == [(5, 7), (12, 12)]
     assert per_row[(2, 3)] == [(7, 11)]
 
-    result = drop_all(DropContext(tt, w, sections))
+    result = drop_all(ctx)
     assert result.success
     assert set(result.certificate.rule_iii_blocks()) == {(5, 6), (7, 16), (17, 18)}
     _announce("1", "g22 example: default w exact, 29 sections, blocks 5-6/7-16/17-18")
@@ -203,7 +204,7 @@ def test_criterion_5a_extraction_oracle():
         genus1 = [i + 1 for i, gg in enumerate(table.chain.genera) if gg == 1]
         threes = tuple(sorted(rng.sample(genus1, 6)))
         w = twist_from_threes(table.chain, table.d, threes)
-        got = [(s.row, s.start, s.end) for s in extract_potential_sections(tt, w)]
+        got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
         assert got == naive_sections(tt, w)
     _announce("5a", "extraction matches the all-intervals oracle on 1,000 "
                     "seeded random tables, exact")
@@ -222,31 +223,27 @@ def test_criterion_5c_drop_order_invariance():
     instances = []
     enum = TableEnumerator(9, 3, 10)
     for _, table in enum.iter_indices(enum.sample_indices(185, seed=53)):
-        tt = build_tensor_table(table)
         genus1 = [i + 1 for i, gg in enumerate(table.chain.genera) if gg == 1]
         threes = tuple(sorted(rng.sample(genus1, 2)))
-        w = twist_from_threes(table.chain, table.d, threes)
-        secs = extract_potential_sections(tt, w)
-        if len(secs) <= 12:
-            instances.append((table, tt, w, secs))
+        ctx = DropContext(table, twist_from_threes(table.chain, table.d, threes))
+        if len(ctx.sections) <= 12:
+            instances.append((ctx, (1 << len(ctx.sections)) - 1))
     enum6 = TableEnumerator(21, 6, 24, 0)
     for _, table in enum6.iter_indices(enum6.sample_indices(40, seed=54)):
-        tt = build_tensor_table(table)
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
-        stuck = drop_all(DropContext(tt, w, extract_potential_sections(tt, w)),
-                         max_nodes=0)
+        ctx = DropContext(table, w)
+        stuck = drop_all(ctx, max_nodes=0)
         if not stuck.success and len(stuck.remaining) <= 12:
-            instances.append((table, tt, w, stuck.remaining))
+            instances.append((ctx, mask_of(ctx, stuck.remaining)))
         if len(instances) >= 200:
             break
     instances = instances[:200]
     assert len(instances) == 200
     verdicts = {True: 0, False: 0}
-    for table, tt, w, secs in instances:
-        ctx = DropContext(tt, w, secs)
-        engine = drop_all(ctx, max_nodes=200_000)
-        assert engine.success == exhaustive_order_verdict(ctx, len(secs))
-        verdicts[engine.success] += 1
+    for ctx, alive in instances:
+        success, _ = drop_from(ctx, alive, max_nodes=200_000)
+        assert success == exhaustive_order_verdict(ctx, alive)
+        verdicts[success] += 1
     assert verdicts[False] > 0 and verdicts[True] > 0
     _announce("5c", f"engine verdict = exhaustive order search on 200 "
                     f"instances ({verdicts[True]} droppable, "
@@ -282,9 +279,8 @@ def test_criterion_6_structural_invariants(crit2_report, crit3_reports,
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     for _, table in enum.iter_indices(enum.sample_indices(300, seed=66)):
         assert len(find_swaps(table)) <= table.rho
-        tt = build_tensor_table(table)
         w = default_multidegree(table)
-        secs = extract_potential_sections(tt, w)
+        secs = extract_potential_sections(table, w)
         for i in range(1, table.n_columns):
             assert sum(s.start <= i < s.end for s in secs) <= 3
     _announce("6", f"zero violations across {total:,} verified tables "

@@ -59,6 +59,17 @@ def test_cli_drop_trace(capsys):
     assert '"rule": "iii"' in out
 
 
+def test_cli_drop_rejects_multidegree_that_is_not_unimaginative(capsys):
+    # degrees 4 and 1 on columns 1 and 2; render still shows its sections
+    w = ('{"D":50,"c":[4,5,7,9,12,14,17,19,21,23,25,27,29,31,33,36,38,41,43,'
+         '45,47]}')
+    assert main(["drop", "--example", "--w", w]) == 2
+    captured = capsys.readouterr()
+    assert "unimaginative" in captured.err and not captured.out
+    assert main(["render", "--example", "--tensor", "--w", w]) == 0
+    assert "[" in capsys.readouterr().out
+
+
 def test_cli_render_latex(capsys):
     assert main(["render", "--example", "--format", "latex", "--tensor"]) == 0
     out = capsys.readouterr().out

@@ -1,17 +1,23 @@
+import functools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llschain import (
     DropCertificate,
     MalformedCertificate,
+    MultidegreeError,
+    TwistVector,
     build_tensor_table,
     default_multidegree,
     drop_all,
     extract_potential_sections,
     g22_example,
     lambda_sequence,
+    pair_list,
     replay_certificate,
     verify_table,
 )
@@ -25,27 +31,34 @@ from llschain.drop import (
     _step,
 )
 from llschain.enumeration import TableEnumerator
-from llschain.multidegree import twist_from_threes
+from llschain.multidegree import iter_candidate_multidegrees, twist_from_threes
+
+from test_tensor import naive_sections
 
 
 def g22_setup():
     table = g22_example()
-    tt = build_tensor_table(table)
     w = default_multidegree(table)
-    secs = extract_potential_sections(tt, w)
-    return table, tt, w, secs
+    return table, w, DropContext(table, w)
 
 
-def context(tt, w, secs=None):
-    """The drop context of (tt, w), over a fresh extraction by default."""
-    if secs is None:
-        secs = extract_potential_sections(tt, w)
-    return DropContext(tt, w, secs)
+def mask_of(ctx, secs):
+    """The state in which exactly the sections `secs` of `ctx` are alive."""
+    return sum(1 << ctx.sections.index(s) for s in secs)
+
+
+def drop_from(ctx, alive, max_nodes):
+    """`drop_all` started from the state `alive` instead of the full one:
+    (whether some order empties it, the greedy's stuck state)."""
+    stuck = _greedy(ctx, alive, [])
+    if stuck and max_nodes > 0 and _search(ctx, alive, max_nodes)[0] is not None:
+        return True, stuck
+    return stuck == 0, stuck
 
 
 def test_drop_g22_blocks_exact():
-    _, tt, w, secs = g22_setup()
-    ctx = context(tt, w, secs)
+    _, w, ctx = g22_setup()
+    secs = ctx.sections
     result = drop_all(ctx)
     assert result.success
     assert set(result.certificate.rule_iii_blocks()) == {(5, 6), (7, 16), (17, 18)}
@@ -69,34 +82,32 @@ def test_drop_rho0_default_succeeds():
     for g, d in ((21, 24), (22, 25), (23, 26)):
         enum = TableEnumerator(g, 6, d, None, "swap_free")
         for _, table in enum.iter_indices(enum.sample_indices(25, seed=g)):
-            tt = build_tensor_table(table)
             w = default_multidegree(table)
-            result = drop_all(context(tt, w))
+            result = drop_all(DropContext(table, w))
             assert result.success, (g, table.table_hash())
 
 
 def test_single_section_drops_by_rule_i():
-    _, tt, w, secs = g22_setup()
-    lone = [s for s in secs if s.row == (0, 0)]
-    result = drop_all(context(tt, w, lone))
-    assert result.success
-    assert len(result.certificate.steps) == 1
-    assert result.certificate.steps[0]["rule"] == "i"
+    _, w, ctx = g22_setup()
+    lone = mask_of(ctx, [s for s in ctx.sections if s.row == (0, 0)])
+    steps = []
+    assert _greedy(ctx, lone, steps) == 0
+    assert len(steps) == 1
+    assert steps[0]["rule"] == "i"
 
 
-def semicritical_level(tt, w, column, remaining):
+def semicritical_level(ctx, column, remaining):
     """0 none, 1 semicritical, 2 critical, with only `remaining` alive."""
-    full = (1 << len(remaining)) - 1
-    return _semicritical(DropContext(tt, w, remaining), full, column - 1)
+    return _semicritical(ctx, mask_of(ctx, remaining), column - 1)
 
 
 def test_semicritical_thresholds():
-    table, tt, w, secs = g22_setup()
+    table, w, ctx = g22_setup()
     lam = lambda_sequence(table)
     # column 7 with only its three starting sections left: critical
-    remaining = [s for s in secs if s.start >= 7]
-    assert semicritical_level(tt, w, 7, remaining) > 0
-    assert semicritical_level(tt, w, 7, remaining) == 2
+    remaining = [s for s in ctx.sections if s.start >= 7]
+    assert semicritical_level(ctx, 7, remaining) > 0
+    assert semicritical_level(ctx, 7, remaining) == 2
     # column 8 has no delta (delta_8 = 0 exists; column 10 has delta_10 = 1)
     assert lam.delta[8] == 0
     # a column whose genus-1 delta is missing can never be semicritical:
@@ -107,10 +118,8 @@ def test_semicritical_thresholds():
         missing = [i for i in range(1, 23) if lam2.delta[i] is None]
         if not missing:
             continue
-        tt2 = build_tensor_table(t2)
-        w2 = default_multidegree(t2)
-        secs2 = extract_potential_sections(tt2, w2)
-        assert semicritical_level(tt2, w2, missing[0], secs2) == 0
+        ctx2 = DropContext(t2, default_multidegree(t2))
+        assert semicritical_level(ctx2, missing[0], ctx2.sections) == 0
         break
     else:
         pytest.skip("no missing-delta table in sample")
@@ -119,15 +128,14 @@ def test_semicritical_thresholds():
 def test_semicritical_sum_threshold():
     # minima summing to 2d-3 are not semicritical: shrink the multidegree
     # window so that a mid-block column keeps low-vanishing sections
-    table, tt, w, secs = g22_setup()
+    table, w, ctx = g22_setup()
     # column 9 carries the swap; with every section remaining, the minima at
     # column 9 come from sections whose values add to less than 2d-2
-    assert semicritical_level(tt, w, 9, secs) == 0
+    assert semicritical_level(ctx, 9, ctx.sections) == 0
 
 
 def test_replay_rejects_transposed_steps():
-    _, tt, w, secs = g22_setup()
-    ctx = context(tt, w, secs)
+    _, w, ctx = g22_setup()
     cert = drop_all(ctx).certificate
     steps = list(cert.steps)
     # swapping two dependent rule-i steps breaks the minimality precondition
@@ -142,23 +150,22 @@ def test_replay_rejects_transposed_steps():
 
 
 def test_replay_rejects_empty_certificate():
-    _, tt, w, secs = g22_setup()
+    _, w, ctx = g22_setup()
     empty = DropCertificate(g22_example().table_hash(), w, ())
-    assert not replay_certificate(empty, context(tt, w, secs))
+    assert not replay_certificate(empty, ctx)
 
 
 def test_replay_rejects_wrong_w():
-    table, tt, w, secs = g22_setup()
-    cert = drop_all(context(tt, w, secs)).certificate
+    table, w, ctx = g22_setup()
+    cert = drop_all(ctx).certificate
     other = twist_from_threes(table.chain, table.d, (1, 5, 7, 16, 18, 21))
-    assert not replay_certificate(cert, context(tt, other))
+    assert not replay_certificate(cert, DropContext(table, other))
 
 
 def test_malformed_certificate_raises():
-    _, tt, w, secs = g22_setup()
+    _, w, ctx = g22_setup()
     with pytest.raises(MalformedCertificate):
         DropCertificate.from_json({"version": 1})
-    ctx = context(tt, w, secs)
     good = drop_all(ctx).certificate.to_json()
     for bad in (dict(good, steps="ab"), dict(good, w={"c": [1]})):
         with pytest.raises(MalformedCertificate):
@@ -178,8 +185,7 @@ def test_malformed_certificate_raises():
 
 
 def test_replay_rejects_column_outside_chain():
-    table, tt, w, secs = g22_setup()
-    ctx = context(tt, w, secs)
+    table, w, ctx = g22_setup()
     cert = drop_all(ctx).certificate
     steps = list(cert.steps)
     k = next(k for k, s in enumerate(steps)
@@ -196,10 +202,9 @@ def test_replay_binds_certificate_to_its_table():
     enum = TableEnumerator(21, 6, 24, 0)
     [(_, t5)] = list(enum.iter_range(5, 1))
     [(_, t10)] = list(enum.iter_range(10, 1))
-    tt5, tt10 = build_tensor_table(t5), build_tensor_table(t10)
     w = default_multidegree(t5)
     assert default_multidegree(t10) == w
-    ctx5, ctx10 = context(tt5, w), context(tt10, w)
+    ctx5, ctx10 = DropContext(t5, w), DropContext(t10, w)
     cert = drop_all(ctx5).certificate
     assert replay_certificate(cert, ctx5)
     # the binding is checked against the context replay reads: a certificate
@@ -220,11 +225,9 @@ def test_search_certificates_replay():
     samples = [t for _, t in enum.iter_indices(enum.sample_indices(20, seed=12345))]
     lengths = []
     for table in [g22_example()] + samples:
-        tt = build_tensor_table(table)
         w = verify_table(table).w
-        secs = extract_potential_sections(tt, w)
-        ctx = context(tt, w, secs)
-        steps, truncated = _search(ctx, (1 << len(secs)) - 1)
+        ctx = DropContext(table, w)
+        steps, truncated = _search(ctx, (1 << len(ctx.sections)) - 1)
         assert steps is not None and not truncated
         assert replay_certificate(DropCertificate(table.hash, w, tuple(steps)), ctx)
         lengths.append(len(steps))
@@ -232,19 +235,18 @@ def test_search_certificates_replay():
 
 
 def test_certificate_json_round_trip():
-    _, tt, w, secs = g22_setup()
-    ctx = context(tt, w, secs)
+    _, w, ctx = g22_setup()
     cert = drop_all(ctx).certificate
     again = DropCertificate.from_json(json.loads(json.dumps(cert.to_json())))
     assert again == cert
     assert replay_certificate(again, ctx)
 
 
-def exhaustive_order_verdict(ctx, n_sections, node_cap=400_000):
-    """Search over every rule application order; True iff some order empties."""
-    full = (1 << n_sections) - 1
+def exhaustive_order_verdict(ctx, alive, node_cap=400_000):
+    """Search over every rule application order from the state `alive`;
+    True iff some order empties it."""
     seen = set()
-    stack = [full]
+    stack = [alive]
     nodes = 0
     while stack:
         state = stack.pop()
@@ -262,32 +264,30 @@ def exhaustive_order_verdict(ctx, n_sections, node_cap=400_000):
 
 
 def small_drop_instances(n_success=20, n_failure=6):
-    """Mixed (tt, w, sections) instances with at most 12 sections.
+    """Mixed (context, alive) instances with at most 12 live sections.
 
-    Successes come from r = 3 tables with seeded 3-placements; failures are
-    the stuck remainders of adversarial r = 6 placements, re-posed as
-    standalone instances.
+    Successes come from r = 3 tables with seeded 3-placements, all sections
+    alive; failures are the stuck remainders of adversarial r = 6
+    placements, posed as the state in which only they are alive.
     """
     rng = random.Random(99)
     out = []
     enum = TableEnumerator(9, 3, 10)
     for _, table in enum.iter_indices(enum.sample_indices(n_success, seed=4)):
-        tt = build_tensor_table(table)
         genus1 = [i + 1 for i, gg in enumerate(table.chain.genera) if gg == 1]
         threes = tuple(sorted(rng.sample(genus1, 2)))
-        w = twist_from_threes(table.chain, table.d, threes)
-        secs = extract_potential_sections(tt, w)
-        if len(secs) <= 12:
-            out.append((table, tt, w, secs))
+        ctx = DropContext(table, twist_from_threes(table.chain, table.d, threes))
+        if len(ctx.sections) <= 12:
+            out.append((ctx, (1 << len(ctx.sections)) - 1))
     enum6 = TableEnumerator(21, 6, 24, 0)
     collected = 0
     for _, table in enum6.iter_indices(enum6.sample_indices(2 * n_failure, seed=31)):
-        tt = build_tensor_table(table)
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
-        result = drop_all(context(tt, w), max_nodes=0)
+        ctx = DropContext(table, w)
+        result = drop_all(ctx, max_nodes=0)
         if result.success or len(result.remaining) > 12:
             continue
-        out.append((table, tt, w, result.remaining))
+        out.append((ctx, mask_of(ctx, result.remaining)))
         collected += 1
         if collected >= n_failure:
             break
@@ -296,12 +296,11 @@ def small_drop_instances(n_success=20, n_failure=6):
 
 def test_verdict_matches_exhaustive_order_search():
     verdicts = {True: 0, False: 0}
-    for table, tt, w, secs in small_drop_instances():
-        ctx = DropContext(tt, w, secs)
-        engine = drop_all(ctx, max_nodes=200_000)
-        exhaustive = exhaustive_order_verdict(ctx, len(secs))
-        assert engine.success == exhaustive, table.table_hash()
-        verdicts[engine.success] += 1
+    for ctx, alive in small_drop_instances():
+        success, _ = drop_from(ctx, alive, max_nodes=200_000)
+        exhaustive = exhaustive_order_verdict(ctx, alive)
+        assert success == exhaustive, ctx.table_hash
+        verdicts[success] += 1
     assert verdicts[True] >= 10
     assert verdicts[False] >= 3
 
@@ -309,13 +308,11 @@ def test_verdict_matches_exhaustive_order_search():
 def test_failure_is_closed_state():
     # a failing drop returns a stuck state on which no rule applies
     found = 0
-    for table, tt, w, secs in small_drop_instances(n_success=0, n_failure=4):
-        result = drop_all(context(tt, w, secs), max_nodes=50_000)
-        if result.success:
+    for ctx, alive in small_drop_instances(n_success=0, n_failure=4):
+        success, stuck = drop_from(ctx, alive, max_nodes=50_000)
+        if success:
             continue
-        assert result.remaining
-        ctx = DropContext(tt, w, result.remaining)
-        stuck = (1 << len(result.remaining)) - 1
+        assert stuck
         assert not list(_all_actions(ctx, stuck))
         found += 1
     assert found >= 2
@@ -327,9 +324,8 @@ def test_rule_ii_never_drops_exceptional_rows():
     from llschain import exceptional_rows
 
     for _, table in enum.iter_indices(enum.sample_indices(40, seed=13)):
-        tt = build_tensor_table(table)
         w = default_multidegree(table)
-        result = drop_all(context(tt, w))
+        result = drop_all(DropContext(table, w))
         if not result.success:
             continue
         exc = exceptional_rows(table)
@@ -387,24 +383,79 @@ def test_greedy_skips_only_calls_that_find_nothing():
     instances = []
     for enum, count in families:
         for _, table in enum.iter_indices(enum.sample_indices(count, seed=8)):
-            tt = build_tensor_table(table)
-            instances.append((tt, default_multidegree(table), None))
+            ctx = DropContext(table, default_multidegree(table))
+            instances.append((ctx, (1 << len(ctx.sections)) - 1))
     # adversarial placements that leave sections stuck
-    instances += [(tt, w, secs) for _, tt, w, secs in small_drop_instances(
-        n_success=0, n_failure=6)]
+    instances += small_drop_instances(n_success=0, n_failure=6)
     enum = TableEnumerator(21, 6, 24, 0)
     for _, table in enum.iter_indices(enum.sample_indices(40, seed=31)):
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
-        instances.append((build_tensor_table(table), w, None))
+        ctx = DropContext(table, w)
+        instances.append((ctx, (1 << len(ctx.sections)) - 1))
     stuck_seen = 0
-    for tt, w, secs in instances:
-        if secs is None:
-            secs = extract_potential_sections(tt, w)
-        ctx = DropContext(tt, w, secs)
-        full = (1 << len(secs)) - 1
+    for ctx, alive in instances:
         steps, ref_steps = [], []
-        stuck = _greedy(ctx, full, steps)
-        assert stuck == _reference_greedy(ctx, full, ref_steps)
+        stuck = _greedy(ctx, alive, steps)
+        assert stuck == _reference_greedy(ctx, alive, ref_steps)
         assert steps == ref_steps
         stuck_seen += stuck != 0
     assert stuck_seen >= 10
+
+
+def test_context_rejects_multidegree_that_is_not_unimaginative():
+    # bounded of total degree 2d, but degrees 4 and 1 on columns 1 and 2:
+    # sections are defined there, the dropping rules are not
+    table = g22_example()
+    w = TwistVector(50, (4, 5, *default_multidegree(table).c[2:]))
+    assert extract_potential_sections(table, w)
+    with pytest.raises(MultidegreeError, match="unimaginative"):
+        DropContext(table, w)
+    for bad in (TwistVector(48, w.c), TwistVector(50, w.c[:-1]),
+                TwistVector(50, (-1, *w.c[1:]))):
+        with pytest.raises(MultidegreeError):
+            DropContext(table, bad)
+
+
+def _reference_masks(table, w):
+    """(sections, pair_of, cover, starts, ends) of (table, w), translated
+    section by section from a separate extraction."""
+    sections = extract_potential_sections(table, w)
+    pos = {pair: p for p, pair in enumerate(pair_list(table.r))}
+    n = table.n_columns
+    cover, starts, ends = [0] * n, [0] * n, [0] * n
+    for idx, s in enumerate(sections):
+        bit = 1 << idx
+        starts[s.start - 1] |= bit
+        ends[s.end - 1] |= bit
+        for x in range(s.start - 1, s.end):
+            cover[x] |= bit
+    return sections, [pos[s.row] for s in sections], cover, starts, ends
+
+
+_FAMILIES = ((21, 6, 24, 0, "all"), (22, 6, 25, None, "has_swap"),
+             (23, 6, 26, None, "two_swap"))
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerator(spec):
+    return TableEnumerator(*spec)
+
+
+@st.composite
+def family_tables(draw):
+    """A rho-0, has_swap or two-swap table, unranked from a drawn index."""
+    enum = _enumerator(draw(st.sampled_from(_FAMILIES)))
+    [(_, table)] = enum.iter_indices([draw(st.integers(0, enum.total() - 1))])
+    return table
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(family_tables())
+def test_context_masks_match_reference_at_every_candidate(table):
+    tt = build_tensor_table(table)
+    for w in iter_candidate_multidegrees(table):
+        ctx = DropContext(table, w)
+        assert (ctx.sections, ctx.pair_of, ctx.cover, ctx.starts, ctx.ends) \
+            == _reference_masks(table, w)
+        got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
+        assert got == naive_sections(tt, w)

@@ -18,7 +18,7 @@ def _flags(tt, w, i, pair):
     for starting (ending), with strictness relaxed in column 1 (N).
     """
     ext = w.extended()
-    p = tt.pair_index(pair)
+    p = tt.pairs.index(pair)
     a, b = tt.ta[i - 1][p], tt.tb[i - 1][p]
     left, right = ext[i], tt.d2 - ext[i + 1]
     appearing = a >= left and b >= right
@@ -69,12 +69,12 @@ def test_pair_list_order():
 def test_tensor_entries_g22():
     table = g22_example()
     tt = build_tensor_table(table)
-    assert (tt.ta[0][tt.pair_index((0, 0))], tt.tb[0][tt.pair_index((0, 0))]) == (0, 50)
-    p66 = tt.pair_index((6, 6))
+    assert (tt.ta[0][tt.pairs.index((0, 0))], tt.tb[0][tt.pairs.index((0, 0))]) == (0, 50)
+    p66 = tt.pairs.index((6, 6))
     assert (tt.ta[21][p66], tt.tb[21][p66]) == (50, 0)
     for i in range(22):
         for j in range(7):
-            p = tt.pair_index((j, j))
+            p = tt.pairs.index((j, j))
             assert tt.ta[i][p] == 2 * table.a[i][j]
             assert tt.tb[i][p] == 2 * table.b[i][j]
             assert tt.ta[i][p] + tt.tb[i][p] <= 2 * table.d
@@ -97,7 +97,7 @@ def test_appearance_boundary_cases():
     hits = 0
     for i in range(2, 22):
         for pair in tt.pairs:
-            p = tt.pair_index(pair)
+            p = tt.pairs.index(pair)
             a, b = tt.ta[i - 1][p], tt.tb[i - 1][p]
             appearing, starting, ending = _flags(tt, w, i, pair)
             if a == ext[i] and b == 50 - ext[i + 1]:
@@ -110,9 +110,8 @@ def test_appearance_boundary_cases():
 
 def test_extract_g22_sections():
     table = g22_example()
-    tt = build_tensor_table(table)
     w = default_multidegree(table)
-    secs = extract_potential_sections(tt, w)
+    secs = extract_potential_sections(table, w)
     assert len(secs) == 29
     per_row = {}
     for s in secs:
@@ -125,9 +124,8 @@ def test_extract_g22_sections():
 def test_extract_rho0_one_per_row():
     enum = TableEnumerator(21, 6, 24, 0)
     for _, table in enum.iter_indices(enum.sample_indices(60, seed=9)):
-        tt = build_tensor_table(table)
         w = default_multidegree(table)
-        secs = extract_potential_sections(tt, w)
+        secs = extract_potential_sections(table, w)
         assert len(secs) == 28
         assert len({s.row for s in secs}) == 28
 
@@ -144,15 +142,14 @@ def test_extract_matches_naive_oracle_on_samples():
         genus1 = [i + 1 for i, gg in enumerate(table.chain.genera) if gg == 1]
         threes = tuple(sorted(rng.sample(genus1, 6)))
         w = twist_from_threes(table.chain, table.d, threes)
-        got = [(s.row, s.start, s.end) for s in extract_potential_sections(tt, w)]
+        got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
         assert got == naive_sections(tt, w)
 
 
 def test_spanning_counts_g22():
     table = g22_example()
-    tt = build_tensor_table(table)
     w = default_multidegree(table)
-    secs = extract_potential_sections(tt, w)
+    secs = extract_potential_sections(table, w)
     spans = [_spanning(secs, i) for i in range(1, 22)]
     assert max(spans) <= 3
     assert _spanning(secs, 1) == 1  # only (0,1) crosses 1 -> 2
@@ -176,8 +173,7 @@ def test_spanning_count_four_attainable_off_default():
     assert lam.lam[14] == (3, 3, 2, 2, 2, 1, 1)
     assert lam.bar_count(14, 1) + lam.bar_count(14, 3) >= 7
 
-    tt = build_tensor_table(table)
     w = twist_from_threes(table.chain, table.d, (1, 8, 15, 16, 17, 21))
-    secs = extract_potential_sections(tt, w)
+    secs = extract_potential_sections(table, w)
     assert _spanning(secs, 14) == 4
     assert all(_spanning(secs, i) <= 4 for i in range(1, 21))

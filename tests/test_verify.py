@@ -62,7 +62,7 @@ def test_verify_two_swap_classes_and_flags():
 
 def test_cycle1_side_condition_content():
     # for a passing cycle1 verdict, re-check the recorded condition directly
-    from llschain import build_tensor_table, extract_potential_sections
+    from llschain import extract_potential_sections
 
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     hits = 0
@@ -70,8 +70,7 @@ def test_cycle1_side_condition_content():
         verdict = verify_table(table)
         if verdict.degeneracy.kind != "cycle1":
             continue
-        tt = build_tensor_table(table)
-        secs = extract_potential_sections(tt, verdict.w)
+        secs = extract_potential_sections(table, verdict.w)
         j0 = verdict.degeneracy.j0
         row = (j0 - 1, j0)
         mine = [s for s in secs if s.row == row]
@@ -85,22 +84,15 @@ def test_cycle1_side_condition_content():
 
 
 def test_pass_certificates_replay_independently():
-    # replay from scratch (fresh extraction, fresh context), not the
-    # context verify_table built for its own drop
-    from llschain import (
-        DropContext,
-        build_tensor_table,
-        extract_potential_sections,
-        replay_certificate,
-    )
+    # replay from scratch (a fresh context), not the context verify_table
+    # built for its own drop
+    from llschain import DropContext, replay_certificate
 
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     for idx, table in enum.iter_indices(enum.sample_indices(40, seed=4711)):
         verdict = verify_table(table)
         assert verdict.passing
-        tt = build_tensor_table(table)
-        sections = extract_potential_sections(tt, verdict.w)
-        ctx = DropContext(tt, verdict.w, sections)
+        ctx = DropContext(table, verdict.w)
         assert replay_certificate(verdict.certificate, ctx)
 
 
@@ -133,21 +125,20 @@ def test_default_invariants_match_reference():
     # adversarial placements, some of which break the spanning bound
     import random
 
-    from llschain import DropContext, build_tensor_table, extract_potential_sections
+    from llschain import DropContext, extract_potential_sections
     from llschain.multidegree import twist_from_threes
 
     rng = random.Random(7)
     enum = TableEnumerator(21, 6, 24, 0)
     cases = violating = 0
     for _, table in enum.iter_indices(enum.sample_indices(300, seed=3)):
-        tt = build_tensor_table(table)
         genus1 = [i + 1 for i, g in enumerate(table.chain.genera) if g == 1]
         for threes in (tuple(sorted(rng.sample(genus1, 6))),
                        (16, 17, 18, 19, 20, 21)):
             w = twist_from_threes(table.chain, table.d, threes)
-            sections = extract_potential_sections(tt, w)
-            expected = _reference_invariants(table, sections)
-            ctx = DropContext(tt, w, sections)
+            expected = _reference_invariants(
+                table, extract_potential_sections(table, w))
+            ctx = DropContext(table, w)
             assert verify_module._default_invariants(table, ctx) == expected
             cases += 1
             violating += bool(expected)
@@ -335,7 +326,6 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
     # stratum index of a cycle1 table whose shared-pair row has two default
     # sections; found by seeded sampling, pinned here for determinism
     from llschain import (
-        build_tensor_table,
         classify_degeneracy,
         default_multidegree,
         extract_potential_sections,
@@ -346,10 +336,9 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
     [(_, table)] = list(enum.iter_range(3_876_400_372, 1))
     klass = classify_degeneracy(table)
     assert klass.kind == "cycle1"
-    tt = build_tensor_table(table)
     w0 = default_multidegree(table)
     row = (klass.j0 - 1, klass.j0)
-    default_secs = [s for s in extract_potential_sections(tt, w0) if s.row == row]
+    default_secs = [s for s in extract_potential_sections(table, w0) if s.row == row]
     assert len(default_secs) == 2
     cands = list(iter_candidate_multidegrees(table))
     assert any(
@@ -362,7 +351,7 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
     assert verdict.candidates_tried > 1
     assert verdict.side_condition == "cycle1_unique_avoiding"
     final_secs = [
-        s for s in extract_potential_sections(tt, verdict.w) if s.row == row
+        s for s in extract_potential_sections(table, verdict.w) if s.row == row
     ]
     assert len(final_secs) == 1
 
