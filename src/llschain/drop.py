@@ -37,6 +37,11 @@ the context it replays on; it accepts a certificate iff each step is
 exactly the drop its rule allows at that place at that moment (same rule,
 same side, same set of sections) and nothing remains at the end.
 
+Building a context is linear in columns and sections: the masks come from
+one pass over the sections' ends, and `cover` from one running OR over the
+columns.  Replay reads each step's sections as a mask too, through one
+key-to-bit map, and compares it with the mask `_find` returns.
+
 `_find` reads the state only through the mask of the place it is asked
 about: `alive & cover[x]` at a column x (rules i and ii), the live sections
 covering x, and `alive & reach[(u, v)]` on a block (rule iii), the live
@@ -56,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .multidegree import (MultidegreeError, TwistVector, component_degrees,
-                          is_unimaginative)
+                          degrees_unimaginative)
 from .table import VanishingTable, pair_list
 from .tensor import PotentialSection, pair_positions, section_runs
 
@@ -83,12 +88,15 @@ class DropContext:
     """Static data shared by all rule evaluations for one (table, w) pair.
 
     The rules are defined only for an unimaginative `w`, so any other is
-    rejected; one pass over :func:`~llschain.tensor.section_runs` then
-    records each section's key, its row's position (``pair_of``) and its
-    bits.  Sections are read only through masks, bit i standing for
-    ``sections[i]``: ``cover[x]`` holds the sections covering column x,
-    ``starts[x]`` and ``ends[x]`` those starting or ending there, and
-    ``reach[(u, v)]`` those meeting block (u, v), the OR of ``cover[u..v]``.
+    rejected (the component degrees are computed once, for that check and
+    for ``degree``); one pass over :func:`~llschain.tensor.section_runs`
+    then records each section's key, its row's position (``pair_of``) and
+    its bits.  Sections are read only through masks, bit i standing for
+    ``sections[i]``: ``starts[x]`` and ``ends[x]`` hold the sections
+    starting or ending at column x, ``cover[x]`` those covering it (one
+    running OR over the columns, adding ``starts[x]`` and then clearing
+    ``ends[x]``), and ``reach[(u, v)]`` those meeting block (u, v), the OR of
+    ``cover[u..v]``; its keys are the blocks rule (iii) considers.
     ``table_hash`` and ``w`` are what a certificate replayed on this context
     must be bound to.
     """
@@ -101,54 +109,52 @@ class DropContext:
 
     def __init__(self, table: VanishingTable, w: TwistVector):
         runs = section_runs(table, w)
-        if not is_unimaginative(w, table.chain):
+        self.genera = genera = table.chain.genera
+        self.degree = degree = component_degrees(w, table.chain)
+        if not degrees_unimaginative(genera, degree):
             raise MultidegreeError("twist vector is not unimaginative")
         cols = table.columns
         self.table_hash = table.hash
         self.w = w
         self.n = n = table.n_columns
         self.d2 = 2 * table.d
-        self.genera = table.chain.genera
-        self.degree = component_degrees(w, table.chain)
         self.delta = table.shape.delta[1:]
         self.exc = [col.exc for col in cols]
         self.ta = tuple(col.ta for col in cols)
         self.tb = tuple(col.tb for col in cols)
         pairs = pair_list(table.r)
-        sections, pair_of = [], []
-        cover, starts, ends = [0] * n, [0] * n, [0] * n
-        for idx, (p, s, e) in enumerate(runs):
-            sections.append(PotentialSection(pairs[p], s + 1, e + 1))
-            pair_of.append(p)
-            bit = 1 << idx
+        section = PotentialSection._make
+        self.sections = [section((pairs[p], s + 1, e + 1)) for p, s, e in runs]
+        self.pair_of = [p for p, _, _ in runs]
+        starts, ends = [0] * n, [0] * n
+        bit = 1
+        for _, s, e in runs:
             starts[s] |= bit
             ends[e] |= bit
-            for x in range(s, e + 1):
-                cover[x] |= bit
-        self.sections, self.pair_of = sections, pair_of
+            bit <<= 1
+        cover = []
+        cur = 0
+        for x in range(n):
+            cur |= starts[x]
+            cover.append(cur)
+            cur &= ~ends[x]
         self.cover, self.starts, self.ends = cover, starts, ends
         pos = pair_positions(table.r)
         self.dd_pair = [pos[dj, dj] if dj is not None else None
                         for dj in self.delta]
-        self.reach = {}
-        self.blocks = self._candidate_blocks()
-
-    def _candidate_blocks(self) -> list[tuple[int, int]]:
-        out = []
-        cover, reach = self.cover, self.reach
-        for u in range(self.n):
-            if self.genera[u] != 1:
+        self.reach = reach = {}
+        for u in range(n):
+            if genera[u] != 1:
                 continue
             mask = cover[u]
-            for v in range(u + 1, self.n):
+            for v in range(u + 1, n):
                 mask |= cover[v]
-                if self.genera[v] == 1:
-                    out.append((u, v))
+                if genera[v] == 1:
                     reach[u, v] = mask
                 # interior from u+1 to v must all have degree 2
-                if self.degree[v] != 2:
+                if degree[v] != 2:
                     break
-        return out
+        self.blocks = list(reach)
 
 
 def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
@@ -159,16 +165,24 @@ def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
     secs = _bits(alive & ctx.cover[x])
     if not secs:
         return 2
-    mina = min(ctx.ta[x][ctx.pair_of[i]] for i in secs)
-    minb = min(ctx.tb[x][ctx.pair_of[i]] for i in secs)
+    ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
+    mina = minb = ctx.d2
+    for i in secs:
+        p = pair_of[i]
+        if ta[p] < mina:
+            mina = ta[p]
+        if tb[p] < minb:
+            minb = tb[p]
     if mina + minb < ctx.d2 - 2:
         return 0
-    for i in secs:
-        j1, j2 = ctx.sections[i].row
-        if dj in (j1, j2):
-            other = j1 + j2 - dj
-            if other != dj and other in ctx.exc[x]:
-                return 0
+    exc = ctx.exc[x]
+    if exc:
+        for i in secs:
+            j1, j2 = ctx.sections[i].row
+            if dj in (j1, j2):
+                other = j1 + j2 - dj
+                if other != dj and other in exc:
+                    return 0
     p = ctx.dd_pair[x]
     if mina == ctx.ta[x][p] - 1 and minb == ctx.tb[x][p] - 1:
         return 1
@@ -408,8 +422,18 @@ def drop_all(ctx: DropContext, max_nodes: int = _SEARCH_MAX_NODES) -> DropResult
     return DropResult(False, None, remaining, search_truncated=truncated)
 
 
+def _section_key(ref) -> tuple:
+    """The `(row, start, end)` key of one section named in a step."""
+    row, start, end = ref["row"], ref["start"], ref["end"]
+    if not (type(row) is list and len(row) == 2 and type(row[0]) is int
+            and type(row[1]) is int and type(start) is int
+            and type(end) is int):
+        raise MalformedCertificate(f"bad section {ref!r}")
+    return (row[0], row[1]), start, end
+
+
 def _parse_step(ctx: DropContext, step) -> tuple:
-    """(rule, where, side, sorted section keys) of one recorded step.
+    """(rule, where, side, section keys in the step's order) of one step.
 
     `where` is None when the step names a column or block outside the chain
     or a block that rule (iii) does not consider.
@@ -426,12 +450,12 @@ def _parse_step(ctx: DropContext, step) -> tuple:
             raise MalformedCertificate(f"unknown rule {rule!r}")
         if set(map(type, place)) != {int}:
             raise MalformedCertificate(f"bad place in step {step!r}")
-        keys = sorted([(tuple(o["row"]), o["start"], o["end"]) for o in refs])
+        keys = [_section_key(o) for o in refs]
     except (KeyError, TypeError) as err:
         raise MalformedCertificate(f"bad step {step!r}: {err}") from err
     if rule == "iii":
         where = (place[0] - 1, place[1] - 1)
-        return rule, where if where in ctx.blocks else None, side, keys
+        return rule, where if where in ctx.reach else None, side, keys
     where = place[0] - 1
     return rule, where if 0 <= where < ctx.n else None, side, keys
 
@@ -442,20 +466,27 @@ def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
     True iff the certificate is bound to the context's table hash and `w`,
     each step is exactly the drop its rule allows at that place at that
     moment (same side, same set of sections), and the final state is empty.
-    Raises MalformedCertificate for a step that cannot be read.
+    A step's sections are compared as a mask: a key the context does not
+    hold, or one named twice, rejects the step.  Raises MalformedCertificate
+    for a step that cannot be read.
     """
     if cert.version != CERTIFICATE_VERSION:
         raise MalformedCertificate(f"unsupported version {cert.version}")
     if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
         return False
+    bit_of = {key: 1 << i for i, key in enumerate(ctx.sections)}
     alive = (1 << len(ctx.sections)) - 1
     for step in cert.steps:
         rule, where, side, keys = _parse_step(ctx, step)
         if where is None:
             return False
-        found = _find(ctx, alive, rule, where)
-        if found is None or found[0] != side \
-                or sorted([ctx.sections[i] for i in _bits(found[1])]) != keys:
+        mask = 0
+        for key in keys:
+            bit = bit_of.get(key, 0)
+            if mask & bit or not bit:
+                return False
+            mask |= bit
+        if _find(ctx, alive, rule, where) != (side, mask):
             return False
-        alive &= ~found[1]
+        alive &= ~mask
     return alive == 0

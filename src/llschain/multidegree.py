@@ -74,17 +74,23 @@ def component_degrees(w: TwistVector, chain: ChainCurve | None = None) -> tuple[
     return tuple(ext[i + 1] - ext[i] for i in range(1, w.n_components + 1))
 
 
-def is_unimaginative(w: TwistVector, chain: ChainCurve) -> bool:
-    try:
-        degs = component_degrees(w, chain)
-    except MultidegreeError:
-        return False
-    for genus, deg in zip(chain.genera, degs):
+def degrees_unimaginative(genera, degs) -> bool:
+    """The unimaginative rule on component degrees: 0 on every genus-0
+    component, 2 or 3 on every genus-1 component."""
+    for genus, deg in zip(genera, degs):
         if genus == 0 and deg != 0:
             return False
         if genus == 1 and deg not in (2, 3):
             return False
     return True
+
+
+def is_unimaginative(w: TwistVector, chain: ChainCurve) -> bool:
+    try:
+        degs = component_degrees(w, chain)
+    except MultidegreeError:
+        return False
+    return degrees_unimaginative(chain.genera, degs)
 
 
 def gamma_profile(w: TwistVector, chain: ChainCurve) -> tuple[int, ...]:

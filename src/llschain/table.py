@@ -134,11 +134,14 @@ class VanishingTable:
 
     @classmethod
     def from_json(cls, obj: dict) -> "VanishingTable":
-        """Inverse of :meth:`to_json`; malformed JSON raises TableError."""
+        """Inverse of :meth:`to_json`; malformed JSON raises TableError.
+
+        A missing ``genera`` key means every component has genus 1.
+        """
         try:
             r, d, a_rows, b_rows = obj["r"], obj["d"], obj["a"], obj["b"]
             n = len(a_rows[0])
-            genera = obj.get("genera") or [1] * n
+            genera = obj["genera"] if "genera" in obj else [1] * n
             rows = [*a_rows, *b_rows]
             entries = [r, d, *genera, *(v for row in rows for v in row)]
         except (KeyError, TypeError, AttributeError, IndexError) as err:
@@ -148,6 +151,9 @@ class VanishingTable:
                 or any(len(row) != n for row in rows)):
             raise TableError("table JSON needs integers r and d, and r + 1 "
                              "rows of equally many integers in a and in b")
+        if type(genera) is not list or len(genera) != n:
+            raise TableError("table JSON genera, when given, must list one "
+                             "integer genus per column")
         a, b = tuple(zip(*a_rows)), tuple(zip(*b_rows))
         return cls(ChainCurve(tuple(genera)), r, d, a, b)
 
@@ -222,23 +228,43 @@ _CACHE_CAP = 8192
 _NO_ROWS: frozenset[int] = frozenset()
 
 
+@lru_cache(maxsize=None)
+def packing(r: int, d: int) -> tuple[int, int, int]:
+    """(f, ones, guard) of the packed tensor sums ``Column.pa``/``pb``.
+
+    Pair p of :func:`pair_list` (r) holds its sum, at most 2d, in bits
+    p*f .. p*f + f - 2 of one int; bit p*f + f - 1 is its guard and stays
+    clear.  ``ones`` has a 1 in the lowest bit of every field and ``guard``
+    the guard bits, so ``((packed | guard) - lo * ones) & guard`` flags, at
+    each pair's guard bit, the sums of at least lo, for 0 <= lo <= 2d + 1
+    (no field borrows, as 2d + 1 <= 2^(f-1)).
+    """
+    f = (2 * d).bit_length() + 1
+    ones = sum(1 << (p * f) for p in range(len(pair_list(r))))
+    return f, ones, ones << (f - 1)
+
+
 class Column:
     """The facts of one column (a, b) of genus `genus` that no other column
     affects.  Built once per distinct key by :func:`column`.
 
     ``height`` is the row count (-1 when a and b differ in length).
     ``next_a`` is d - b, the refined a-column of the next component.
-    ``ta``/``tb`` are the tensor sums over :func:`pair_list`.  ``swaps``
+    ``ta``/``tb`` are the tensor sums over :func:`pair_list`, and ``pa``/``pb``
+    the same sums packed into one int each (see :func:`packing`; None when a
+    sum lies outside 0..2d, which only an invalid column has).  ``swaps``
     holds ``(j, k, minimal)`` per order inversion, ``exc`` the rows below
     sum d - 1 (genus 1) or d (genus 0), and ``box`` the first row with
     genus + a_j + b_j > d, which is the column's delta whenever the next
-    column's a equals ``next_a``.  ``fault`` is the first sign, duplicate or
+    column's a equals ``next_a``.  ``removals`` is the sum over rows of
+    max(0, d - genus - a_j - b_j), the boxes the shape loses across the
+    column on a refined table.  ``fault`` is the first sign, duplicate or
     sum violation as (exception class, arguments after the column), and
     ``generic`` the genericity message, if any.
     """
 
-    __slots__ = ("genus", "height", "next_a", "ta", "tb", "swaps", "exc",
-                 "box", "fault", "generic")
+    __slots__ = ("genus", "height", "next_a", "ta", "tb", "pa", "pb", "swaps",
+                 "exc", "box", "removals", "fault", "generic")
 
     def __init__(self, genus: int, d: int, a: tuple[int, ...],
                  b: tuple[int, ...]):
@@ -246,8 +272,8 @@ class Column:
         self.genus = genus
         self.height = h if len(b) == h else -1
         self.next_a = tuple(d - bj for bj in b)
-        self.ta = self.tb = None
-        self.swaps, self.exc, self.box = (), _NO_ROWS, None
+        self.ta = self.tb = self.pa = self.pb = None
+        self.swaps, self.exc, self.box, self.removals = (), _NO_ROWS, None, 0
         self.fault = self.generic = None
         if self.height < 0:
             return
@@ -255,6 +281,10 @@ class Column:
         pairs = pair_list(h - 1)
         self.ta = tuple(a[j1] + a[j2] for j1, j2 in pairs)
         self.tb = tuple(b[j1] + b[j2] for j1, j2 in pairs)
+        if all(0 <= v <= 2 * d for v in self.ta + self.tb):
+            f = packing(h - 1, d)[0]
+            self.pa = sum(v << (p * f) for p, v in enumerate(self.ta))
+            self.pb = sum(v << (p * f) for p, v in enumerate(self.tb))
         sums = [a[j] + b[j] for j in rows]
         self.swaps = tuple(
             (j, k, abs(a[j] - a[k]) == 1 and abs(b[j] - b[k]) == 1
@@ -265,6 +295,7 @@ class Column:
         bound = d - 1 if genus == 1 else d
         self.exc = frozenset(j for j in rows if sums[j] < bound) or _NO_ROWS
         self.box = next((j for j in rows if genus + sums[j] > d), None)
+        self.removals = sum(max(0, d - genus - s) for s in sums)
         self.fault = _column_fault(d, a, b, sums)
         full = sums.count(d)
         if genus == 1 and full > 1:
@@ -356,14 +387,22 @@ def validate_table(table: VanishingTable,
     for j in range(r):
         if table.a[0][j] >= table.a[0][j + 1]:
             raise CanonicalOrderViolation("first column must be strictly increasing")
-    for i in range(1, n):
-        expected = cols[i - 1].next_a
-        if table.a[i] != expected:
-            j = next(j for j in range(r + 1) if table.a[i][j] != expected[j])
-            raise RefinednessViolation(i + 1, j)
+    _check_refined(table)
     for i, col in enumerate(cols, 1):
         if col.generic and not (allow_exceptional_genus0 and col.genus != 1):
             raise GenericityViolation(i, col.generic)
+
+
+def _check_refined(table: VanishingTable) -> None:
+    """Raise :class:`RefinednessViolation` at the first node where
+    a^{i+1} != d - b^i, at its first differing row."""
+    a, cols = table.a, table.columns
+    for i in range(1, len(a)):
+        expected = cols[i - 1].next_a
+        if a[i] != expected:
+            j = next((j for j, (u, v) in enumerate(zip(a[i], expected))
+                      if u != v), min(len(a[i]), len(expected)))
+            raise RefinednessViolation(i + 1, j)
 
 
 @dataclass(frozen=True)
@@ -430,21 +469,19 @@ def rho_accounting(table: VanishingTable) -> RhoBreakdown:
     Raises :class:`InvalidSeries` when the total exceeds rho; on valid tables
     the slack rho - total equals the extra vanishing of b^N beyond the
     minimal staircase.
+
+    Both per-column terms are read off the interned columns.  On a refined
+    table lambda[i-1][j] - lambda[i][j] = d - genus_i - a^i_j - b^i_j, so
+    the box removals are the sum of ``Column.removals``, and a genus-1
+    column misses its delta iff it has no box-adding row.  Raises
+    :class:`RefinednessViolation` on a table that is not refined at some
+    node, where that identity does not hold.
     """
-    lam = table.shape
-    n, r = table.n_columns, table.r
-    ram = sum(table.a[0][j] - j for j in range(r + 1))
-    exc = 0
-    for i in range(1, n + 1):
-        for j in range(r + 1):
-            drop = lam.lam[i - 1][j] - lam.lam[i][j]
-            if drop > 0:
-                exc += drop
-    missing = sum(
-        1
-        for i in range(1, n + 1)
-        if table.chain.genera[i - 1] == 1 and lam.delta[i] is None
-    )
+    _check_refined(table)
+    cols = table.columns
+    ram = sum(v - j for j, v in enumerate(table.a[0]))
+    exc = sum(col.removals for col in cols)
+    missing = sum(1 for col in cols if col.genus == 1 and col.box is None)
     total = ram + exc + missing
     rho = table.rho
     if total > rho:

@@ -12,7 +12,13 @@ A potential section is a maximal contiguous run of appearing columns,
 trimmed on the left until it potentially starts and on the right until it
 potentially ends.  Appearing columns shaved off in the trim belong to no
 section.  :func:`section_runs` is the one scan that finds them, read by
-``DropContext(table, w)`` and by :func:`extract_potential_sections`.
+``DropContext(table, w)`` and by :func:`extract_potential_sections`.  It
+compares all rows of a column at once: each column holds its sums packed
+one field per row pair with a guard bit on top, so a subtraction and a mask
+yield the "at least c" flag of every row (a SWAR compare, after Lamport,
+*Multiple byte processing with full-word instructions*, CACM 1975), and the
+scan costs a few big-int operations per column plus a few steps per section
+rather than a comparison per row and column.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .multidegree import MultidegreeError, TwistVector
-from .table import VanishingTable, pair_list
+from .table import TableError, VanishingTable, packing, pair_list
 
 
 @lru_cache(maxsize=None)
@@ -72,7 +78,15 @@ class PotentialSection(NamedTuple):
 
 def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, int]]:
     """(pair position, first column, last column) of every potential section,
-    0-based, in row-major order, left to right within a row."""
+    0-based, in row-major order, left to right within a row.
+
+    One left-to-right pass over the columns' packed sums (see
+    :func:`~llschain.table.packing`) flags, at each column, the appearing,
+    startable and endable pairs as three masks of guard bits.  A pair's run
+    opens where it starts appearing; its section starts at the run's first
+    startable column, and when the run closes its end is found by stepping
+    back to the last endable column.
+    """
     cols = table.columns
     n = len(cols)
     d2 = 2 * table.d
@@ -82,27 +96,49 @@ def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, 
         raise MultidegreeError(f"expected total degree {d2}, got {w.D}")
     if not w.bounded:
         raise MultidegreeError("twist vector is not bounded")
+    if any(col.pa is None for col in cols):
+        raise TableError("tensor sums outside 0..2d: the table is not valid")
+    f, ones, guard = packing(table.r, table.d)
     ext = w.extended()
-    ta = [col.ta for col in cols]
-    tb = [col.tb for col in cols]
-    out = []
-    for p in range(len(pair_list(table.r))):
-        x = 0
-        while x < n:
-            if ta[x][p] < ext[x + 1] or tb[x][p] < d2 - ext[x + 2]:
-                x += 1
-                continue
-            s = x
-            x += 1
-            while x < n and ta[x][p] >= ext[x + 1] and tb[x][p] >= d2 - ext[x + 2]:
-                x += 1
+    out: list[tuple[int, int, int]] = []
+    first = {}        # guard bit -> first column of its open section
+    endable = []      # per column, the pairs that may end there
+    # open runs whose section has not started yet, open runs whose section
+    # has, and the pairs appearing at the previous column
+    waiting = opened = prev = 0
+
+    def close(mask: int, x: int) -> None:
+        # the runs of `mask` last appeared at column x - 1
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            s = first[bit]
             e = x - 1
-            while s <= e and s != 0 and ta[s][p] == ext[s + 1]:
-                s += 1
-            while e >= s and e != n - 1 and tb[e][p] == d2 - ext[e + 2]:
+            while e >= s and not endable[e] & bit:
                 e -= 1
-            if s <= e:
-                out.append((p, s, e))
+            if e >= s:
+                out.append(((bit.bit_length() - 1) // f, s, e))
+
+    for x, col in enumerate(cols):
+        ge_a = (col.pa | guard) - ext[x + 1] * ones
+        ge_b = (col.pb | guard) - (d2 - ext[x + 2]) * ones
+        here = ge_a & ge_b & guard
+        if opened & ~here:
+            close(opened & ~here, x)
+            opened &= here
+        waiting = (waiting & here) | (here & ~prev)
+        begin = waiting if x == 0 else waiting & (ge_a - ones)
+        if begin:
+            waiting ^= begin
+            opened |= begin
+            while begin:
+                bit = begin & -begin
+                begin ^= bit
+                first[bit] = x
+        endable.append(here if x == n - 1 else here & (ge_b - ones))
+        prev = here
+    close(opened, n)
+    out.sort()
     return out
 
 

@@ -146,6 +146,22 @@ def test_cli_flag_errors(capsys, tmp_path, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_inspect_rejects_empty_genera(capsys, tmp_path):
+    # the first table of (6,1,4) inspects cleanly until its genera are emptied
+    assert main(["enumerate", "--g", "6", "--r", "1", "--d", "4",
+                 "--limit", "1"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(obj))
+    assert main(["inspect", "--table", str(table)]) == 0
+    capsys.readouterr()
+    table.write_text(json.dumps(dict(obj, genera=[])))
+    assert main(["inspect", "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "genera" in captured.err
+
+
 def test_multidegree_header_matches_paper_layout():
     table = g22_example()
     w = default_multidegree(table)

@@ -184,6 +184,55 @@ def test_malformed_certificate_raises():
             replay_certificate(cert, ctx)
 
 
+def _replay_mutated(ctx, cert, k, step):
+    """Replay `cert` with its step k replaced by `step`."""
+    steps = list(cert.steps)
+    steps[k] = step
+    return replay_certificate(DropCertificate(cert.table_hash, cert.w,
+                                              tuple(steps)), ctx)
+
+
+def test_replay_rejects_section_keys_that_are_not_ints():
+    _, w, ctx = g22_setup()
+    cert = drop_all(ctx).certificate
+    k = next(k for k, s in enumerate(cert.steps) if s["rule"] == "i"
+             and s["section"] == {"row": [0, 1], "start": 1, "end": 1})
+    step = cert.steps[k]
+    assert _replay_mutated(ctx, cert, k, step)
+    # each of these named the same section as far as == and hash could tell
+    for bad in ({"row": [False, True]}, {"start": 1.0}, {"end": True},
+                {"row": (0, 1)}, {"row": [0, 1, 1]}, {"row": [[0], 1]}):
+        mutated = dict(step, section=dict(step["section"], **bad))
+        with pytest.raises(MalformedCertificate):
+            _replay_mutated(ctx, cert, k, mutated)
+    # an unhashable row entry is malformed under every rule
+    for k, step in enumerate(cert.steps):
+        if step["rule"] != "i":
+            secs = [dict(step["sections"][0], row=[[0], 1]),
+                    *step["sections"][1:]]
+            with pytest.raises(MalformedCertificate):
+                _replay_mutated(ctx, cert, k, dict(step, sections=secs))
+
+
+def test_replay_compares_a_steps_sections_as_a_set():
+    _, w, ctx = g22_setup()
+    cert = drop_all(ctx).certificate
+    k = next(k for k, s in enumerate(cert.steps) if s["rule"] == "iii")
+    step = cert.steps[k]
+    secs = step["sections"]
+    assert len(secs) > 1
+    # the same set in another order is the same drop
+    assert _replay_mutated(ctx, cert, k, dict(step, sections=secs[::-1]))
+    # a section named twice, or one the context does not hold, is not
+    assert not _replay_mutated(ctx, cert, k,
+                               dict(step, sections=secs + secs[:1]))
+    assert not _replay_mutated(ctx, cert, k,
+                               dict(step, sections=[*secs[:-1], secs[0]]))
+    outside = dict(secs[0], end=ctx.n + 1)
+    assert not _replay_mutated(ctx, cert, k,
+                               dict(step, sections=[outside, *secs[1:]]))
+
+
 def test_replay_rejects_column_outside_chain():
     table, w, ctx = g22_setup()
     cert = drop_all(ctx).certificate

@@ -1,3 +1,5 @@
+import collections
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import strategies as st
 
 from llschain import (
     EnumerationError,
+    build_elliptic_chain,
     classify_degeneracy,
     count_small_oracle,
     enumerate_tables,
     find_swaps,
     rho_accounting,
+    table_from_columns,
     validate_table,
 )
 from llschain import enumeration
@@ -57,6 +61,63 @@ def test_more_oracle_agreement():
         # each table is streamed once: a one-row family has no (1, 1) root
         hashes = [table.hash for _, table in enum.iter_all()]
         assert len(set(hashes)) == len(hashes) == enum.total(), (g, r, d)
+
+
+def swap_count_oracle(g, r, d, rho_max):
+    """Brute-force tables of a pure chain, built as count_small_oracle builds
+    them (every strictly increasing first column, every distinct b-tuple
+    with a + b <= d and at most one sum d, refined successors), kept within
+    the budget and counted by their number of swaps (from find_swaps)."""
+    chain = build_elliptic_chain(g)
+    counts = collections.Counter()
+
+    def b_columns(a_col, j=0, acc=(), full=0):
+        if j == r + 1:
+            yield acc
+            return
+        for bj in range(d - a_col[j] + 1):
+            at_d = a_col[j] + bj == d
+            if bj not in acc and full + at_d <= 1:
+                yield from b_columns(a_col, j + 1, acc + (bj,), full + at_d)
+
+    def grow(a_cols, b_cols):
+        if len(b_cols) == g:
+            table = table_from_columns(chain, r, d, a_cols, b_cols)
+            validate_table(table)
+            if rho_accounting(table).total <= rho_max:
+                counts[len(find_swaps(table))] += 1
+            return
+        for b_col in b_columns(a_cols[-1]):
+            nxt = [tuple(d - bj for bj in b_col)] if len(b_cols) + 1 < g else []
+            grow(a_cols + nxt, b_cols + [b_col])
+
+    for a1 in combinations(range(d + 1), r + 1):
+        grow([a1], [])
+    return counts
+
+
+# (g, r) with some d <= 6 of rho >= 0: brute force stays under half a second
+_ORACLE_SHAPES = [(g, r) for g in range(1, 8) for r in range(3)
+                  if g + r - g // (r + 1) <= 6]
+
+
+@st.composite
+def small_families(draw):
+    """(g, r, d, rho_max), drawn from the largest d and budget down."""
+    g, r = draw(st.sampled_from(_ORACLE_SHAPES))
+    d_min = g + r - g // (r + 1)
+    d = 6 - draw(st.integers(0, 6 - d_min))
+    top = min(g - (r + 1) * (g + r - d), MAX_BUDGET)
+    return g, r, d, top - draw(st.integers(0, top))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(small_families())
+def test_strata_match_swap_count_oracle(family):
+    by_swaps = swap_count_oracle(*family)
+    for stratum, accept in STRATA.items():
+        want = sum(c for swaps, c in by_swaps.items() if accept(swaps))
+        assert TableEnumerator(*family, stratum).total() == want, stratum
 
 
 def test_rho0_counts_are_rectangle_tableaux():

@@ -31,7 +31,7 @@ from llschain import (
 )
 from llschain import table as table_module
 from llschain.enumeration import TableEnumerator
-from llschain.table import VanishingTable
+from llschain.table import RhoBreakdown, VanishingTable
 from llschain.tensor import TensorTable, pair_list
 
 
@@ -184,6 +184,70 @@ def test_rho_accounting_rejects_over_budget():
         rho_accounting(table)
 
 
+def _reference_rho_accounting(table):
+    """rho_accounting as it read before the per-column sums: the box
+    removals and missing deltas read row by row off the shape sequence."""
+    lam = lambda_sequence(table)
+    n, r = table.n_columns, table.r
+    ram = sum(table.a[0][j] - j for j in range(r + 1))
+    exc = 0
+    for i in range(1, n + 1):
+        for j in range(r + 1):
+            drop = lam.lam[i - 1][j] - lam.lam[i][j]
+            if drop > 0:
+                exc += drop
+    missing = sum(1 for i in range(1, n + 1)
+                  if table.chain.genera[i - 1] == 1 and lam.delta[i] is None)
+    total = ram + exc + missing
+    if total > table.rho:
+        raise InvalidSeries(f"defect total {total} exceeds rho = {table.rho}")
+    return RhoBreakdown(ram, exc, missing, total, table.rho)
+
+
+def _rho_outcome(accounting, table):
+    try:
+        return accounting(table)
+    except InvalidSeries as err:
+        return str(err)
+
+
+_RHO_FAMILIES = [TableEnumerator(*spec) for spec in (
+    (21, 6, 24, 0), (22, 6, 25, None, "has_swap"), (23, 6, 26, None, "two_swap"),
+    (23, 6, 26), (6, 1, 5, 2), (8, 2, 8, 2), (9, 3, 10, 1))]
+
+
+@st.composite
+def rho_tables(draw):
+    """Family tables (rho-0, has_swap, two-swap, unrestricted (23,6,26) and
+    small families), the g22 example, or a refined table with genus-0
+    components."""
+    kind = draw(st.sampled_from(("family", "example", "refined")))
+    if kind == "example":
+        return g22_example()
+    if kind == "refined":
+        return draw(refined_tables())
+    enum = draw(st.sampled_from(_RHO_FAMILIES))
+    [(_, table)] = enum.iter_indices([draw(st.integers(0, enum.total() - 1))])
+    return table
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(rho_tables())
+def test_rho_accounting_matches_shape_oracle(table):
+    assert _rho_outcome(rho_accounting, table) == \
+        _rho_outcome(_reference_rho_accounting, table)
+
+
+def test_rho_accounting_rejects_unrefined_table():
+    table = g22_example()
+    a = [list(col) for col in table.a]
+    a[9][4] += 1
+    bad = table_from_columns(table.chain, table.r, table.d, a, table.b)
+    with pytest.raises(RefinednessViolation) as err:
+        rho_accounting(bad)
+    assert (err.value.column, err.value.row) == (10, 4)
+
+
 def test_find_swaps_g22():
     swaps = find_swaps(g22_example())
     assert len(swaps) == 1
@@ -276,6 +340,16 @@ def test_json_round_trip_and_hash():
     assert again == table
     assert again.table_hash() == table.table_hash()
     assert len(table.table_hash()) == 16
+
+
+def test_json_genera_must_list_one_int_per_column():
+    obj = g22_example().to_json()
+    del obj["genera"]
+    assert VanishingTable.from_json(obj).chain.genera == (1,) * 22
+    for genera in ([], [1] * 21, [1] * 23, None, "1" * 22, [1] * 21 + [1.0],
+                   {"1": 1}):
+        with pytest.raises(TableError):
+            VanishingTable.from_json(dict(obj, genera=genera))
 
 
 # -- interned columns against the whole-table oracles -------------------------

@@ -1,14 +1,20 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from llschain import (
+    ChainCurve,
     build_tensor_table,
     default_multidegree,
     extract_potential_sections,
     g22_example,
     pair_list,
+    table_from_columns,
 )
 from llschain.enumeration import TableEnumerator
-from llschain.multidegree import twist_from_threes
+from llschain.multidegree import TwistVector, twist_from_threes
+from llschain.table import packing
 
 
 def _flags(tt, w, i, pair):
@@ -144,6 +150,43 @@ def test_extract_matches_naive_oracle_on_samples():
         w = twist_from_threes(table.chain, table.d, threes)
         got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
         assert got == naive_sections(tt, w)
+
+
+def test_packed_field_width_grows_at_powers_of_two():
+    # a field holds sums up to 2d below its guard bit
+    assert [packing(6, d)[0] for d in (31, 32, 63, 64)] == [7, 8, 8, 9]
+    f, ones, guard = packing(1, 32)
+    assert (ones, guard) == (1 | 1 << 8 | 1 << 16, (1 | 1 << 8 | 1 << 16) << 7)
+
+
+@st.composite
+def short_tables_and_twists(draw):
+    """One to three columns of r + 1 rows whose sums reach 0 and 2d, where
+    the packed fields change width; c_i at 0, at D, at a tensor value or
+    anywhere between, so both chain ends relax strictness at once."""
+    d = draw(st.sampled_from((31, 32, 63, 64)))
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 6))
+    value = st.one_of(st.sampled_from((0, d)), st.integers(0, d))
+    a, b = [], []
+    for _ in range(n):
+        col_a = [draw(value) for _ in range(r + 1)]
+        a.append(col_a)
+        b.append([min(draw(value), d - v) for v in col_a])
+    table = table_from_columns(ChainCurve((1,) * n), r, d, a, b)
+    D = 2 * d
+    sums = [v for col in table.columns for v in (*col.ta, *col.tb)]
+    c = st.one_of(st.sampled_from((0, D)), st.sampled_from(sums),
+                  st.sampled_from([D - v for v in sums]), st.integers(0, D))
+    w = TwistVector(D, tuple(draw(c) for _ in range(n - 1)))
+    return table, w
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(short_tables_and_twists())
+def test_packed_scan_matches_naive_oracle_at_field_widths(case):
+    table, w = case
+    got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
+    assert got == naive_sections(build_tensor_table(table), w)
 
 
 def test_spanning_counts_g22():
