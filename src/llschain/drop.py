@@ -162,13 +162,16 @@ def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
     dj = ctx.delta[x]
     if dj is None:
         return 0
-    secs = _bits(alive & ctx.cover[x])
-    if not secs:
+    live = alive & ctx.cover[x]
+    if not live:
         return 2
     ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
     mina = minb = ctx.d2
-    for i in secs:
-        p = pair_of[i]
+    m = live
+    while m:
+        low = m & -m
+        m ^= low
+        p = pair_of[low.bit_length() - 1]
         if ta[p] < mina:
             mina = ta[p]
         if tb[p] < minb:
@@ -177,8 +180,11 @@ def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
         return 0
     exc = ctx.exc[x]
     if exc:
-        for i in secs:
-            j1, j2 = ctx.sections[i].row
+        m = live
+        while m:
+            low = m & -m
+            m ^= low
+            j1, j2 = ctx.sections[low.bit_length() - 1].row
             if dj in (j1, j2):
                 other = j1 + j2 - dj
                 if other != dj and other in exc:
@@ -249,7 +255,11 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     best_a = best_b = None
     lo_a = lo_b = None
     count_a = count_b = 0
-    for i in _bits(live):
+    m = live
+    while m:
+        low = m & -m
+        m ^= low
+        i = low.bit_length() - 1
         p = pair_of[i]
         va, vb = ta[p], tb[p]
         if lo_a is None or va < lo_a:

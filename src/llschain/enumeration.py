@@ -22,7 +22,10 @@ children in canonical order and the prefix sums of their stratum counts, so
 unranking an index takes one bisection per column (rank/unrank by counting,
 Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  This powers uniform
 deterministic sampling (unranking seeded random indices) and the stratified
-range streams used for the big verification runs.
+range streams used for the big verification runs.  A walk keeps each
+column's a- and b-tuples on two stacks, built once per node entered, so
+neighbouring tables share their leading column tuples, after which the
+section scan and the table hash resume.
 """
 
 from __future__ import annotations
@@ -264,42 +267,44 @@ class TableEnumerator:
     def _root(self) -> tuple[list[tuple], list[int]]:
         return self._node(-1, (), self.rho_max, 0)
 
-    def _walk(self, i: int, node, skip: int,
-              cols: list[tuple[int, ...]]) -> Iterator[VanishingTable]:
+    def _walk(self, i: int, node, skip: int, cols: list[tuple[int, ...]],
+              b_cols: list[tuple[int, ...]]) -> Iterator[VanishingTable]:
         """Stream the tables below ``node``, whose children are the states
         after column ``i``, from the ``skip``-th on.
 
         The child holding ``skip`` is found by bisection and entered with
         what is left of it; every later child with a non-zero count is
-        streamed whole.  ``cols`` holds the row values of the path so far.
+        streamed whole.  ``cols`` holds the row values of the path so far
+        and ``b_cols`` beside it their b-values ``d - cols[k]``, pushed and
+        popped together, so each b tuple is built once per node entered and
+        neighbouring tables share their column tuples: the table at a leaf
+        has a-columns ``cols[:-1]`` and b-columns ``b_cols[1:]``.
         """
         children, cums = node
         first, skip = _locate(cums, skip)
+        d = self.d
         for k in range(first, len(children)):
             if k and cums[k] == cums[k - 1]:
                 continue   # the stratum accepts nothing below this child
             a, budget, swaps = children[k]
             cols.append(a)
+            b_cols.append(tuple([d - v for v in a]))
             if i == self.g:
-                yield self._materialize(cols)
+                yield VanishingTable(self.chain, self.r, d, tuple(cols[:-1]),
+                                     tuple(b_cols[1:]))
             else:
                 yield from self._walk(i + 1, self._node(i, a, budget, swaps),
-                                      skip, cols)
+                                      skip, cols, b_cols)
             cols.pop()
+            b_cols.pop()
             skip = 0
-
-    def _materialize(self, cols: list[tuple[int, ...]]) -> VanishingTable:
-        """The table whose column i has a-values cols[i-1] and b = d - cols[i]."""
-        d = self.d
-        b_cols = [tuple(d - v for v in a) for a in cols[1:]]
-        return table_from_columns(self.chain, self.r, d, cols[:-1], b_cols)
 
     def iter_range(self, start: int, count: int) -> Iterator[tuple[int, VanishingTable]]:
         """Yield (index, table) for the canonical slice [start, start+count)."""
         if start < 0 or count < 0:
             raise EnumerationError("bad range")
         stop = min(start + count, self.total())  # the walk starts below total
-        return zip(range(start, stop), self._walk(0, self._root(), start, []))
+        return zip(range(start, stop), self._walk(0, self._root(), start, [], []))
 
     def iter_all(self) -> Iterator[tuple[int, VanishingTable]]:
         return self.iter_range(0, self.total())
@@ -323,7 +328,7 @@ class TableEnumerator:
             if idx >= total:
                 raise EnumerationError(f"index {idx} out of range ({total} tables)")
             # the first table of the walk from idx: one bisection per column
-            yield (idx, next(self._walk(0, root, idx, [])))
+            yield (idx, next(self._walk(0, root, idx, [], [])))
             prev = idx
 
 

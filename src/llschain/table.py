@@ -32,12 +32,19 @@ distinct column rather than once per table.  The shape rows ``lam[i]``,
 which bounds their memory on runs that touch many columns.  The free functions
 :func:`lambda_sequence`, :func:`find_swaps` and :func:`exceptional_rows`
 compute the same facts afresh from the whole table.
+
+:meth:`VanishingTable.table_hash` hashes the ``%s`` text of the table's
+tuples, most of which is formatting.  Neighbouring tables of a range walk
+share their leading column tuples, so the hash keeps the previous table's
+per-column repr strings in one slot per thread and formats only the
+columns from the first one whose ``a`` or ``b`` tuple is a different object.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -158,9 +165,31 @@ class VanishingTable:
         return cls(ChainCurve(tuple(genera)), r, d, a, b)
 
     def table_hash(self) -> str:
-        payload = "%d;%d;%s;%s;%s" % (
-            self.r, self.d, self.chain.genera, self.a, self.b,
-        )
+        """The first 16 hex digits of the sha256 of
+        ``"%d;%d;%s;%s;%s" % (r, d, genera, a, b)``.
+
+        The payload is assembled from per-column repr strings, resumed from
+        the previous call (one slot per thread, see :class:`_HashSlot`):
+        the strings of the columns before the first one whose ``a`` or
+        ``b`` tuple is not the same object as the previous table's are
+        reused, and only the rest are formatted.  Identity rather than
+        equality, since ``(1, 2) == (True, 2)`` but their reprs differ.
+        """
+        slot = _last_hash
+        r, d, genera, a, b = self.r, self.d, self.chain.genera, self.a, self.b
+        if slot.genera is not genera or slot.rd != (r, d):
+            slot.head = "%d;%d;%s;" % (r, d, genera)
+            slot.genera, slot.rd = genera, (r, d)
+        prev_a, prev_b, ra, rb = slot.a, slot.b, slot.ra, slot.rb
+        k, n = 0, min(len(a), len(b), len(prev_a), len(prev_b))
+        while k < n and a[k] is prev_a[k] and b[k] is prev_b[k]:
+            k += 1
+        del ra[k:], rb[k:]
+        slot.a = slot.b = ()   # until the strings below are complete
+        ra.extend(map(repr, a[k:]))
+        rb.extend(map(repr, b[k:]))
+        slot.a, slot.b = a, b
+        payload = slot.head + _seq_str(a, ra) + ";" + _seq_str(b, rb)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     @cached_property
@@ -208,6 +237,29 @@ class VanishingTable:
     @cached_property
     def hash(self) -> str:
         return self.table_hash()
+
+
+class _HashSlot(threading.local):
+    """The previous call of :meth:`VanishingTable.table_hash` in this
+    thread: the payload head ``"%d;%d;%s;" % (r, d, genera)`` for ``rd`` =
+    (r, d) and the ``genera`` object, and the ``a`` and ``b`` columns with
+    their repr strings ``ra`` and ``rb``."""
+
+    def __init__(self) -> None:
+        self.rd = self.genera = self.head = None
+        self.a = self.b = ()
+        self.ra: list[str] = []
+        self.rb: list[str] = []
+
+
+_last_hash = _HashSlot()
+
+
+def _seq_str(seq, reprs: list[str]) -> str:
+    """``str(seq)``, joined from the reprs of its items for a tuple."""
+    if type(seq) is not tuple:
+        return str(seq)
+    return "(" + ", ".join(reprs) + ("," if len(reprs) == 1 else "") + ")"
 
 
 @lru_cache(maxsize=None)

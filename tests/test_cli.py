@@ -1,4 +1,10 @@
 import json
+import os
+import random
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -86,6 +92,54 @@ def test_cli_verify_small(capsys, tmp_path):
     report = json.loads(capsys.readouterr().out)
     assert report["failed"] == 0
     assert report["verified"] == 25
+
+
+def _verify_cmd(tmp_path, name, jobs):
+    """Verify the first 6,000 rho-0 tables of (21,6,24); a resumed run's
+    ``--limit`` counts from its checkpoint, so it asks for the rest."""
+    ck = tmp_path / f"{name}.ck"
+    done = json.loads(ck.read_text())["done"] if ck.exists() else 0
+    return [sys.executable, "-m", "llschain.cli", "verify", "--g", "21",
+            "--d", "24", "--rho-max", "0", "--limit", str(6000 - done),
+            "--jobs", str(jobs), "--checkpoint", str(ck),
+            "--out", str(tmp_path / f"{name}.jsonl")]
+
+
+def test_cli_verify_resumes_after_hard_kills(tmp_path):
+    # each run is started in its own session and killed, with its pool
+    # workers, by SIGKILL to its process group at a seeded random moment;
+    # the resumed runs must write the uninterrupted run's bytes and hash
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    ref = subprocess.run(_verify_cmd(tmp_path, "ref", 1), env=env,
+                         capture_output=True, check=True)
+    ref_hash = json.loads(ref.stdout)["stream_hash"]
+    expected = (tmp_path / "ref.jsonl").read_bytes()
+    assert expected.count(b"\n") == 6000
+    rng = random.Random(20261019)
+    kills = 0
+    for jobs in (1, 2):
+        name = f"killed{jobs}"
+        for _ in range(3):
+            proc = subprocess.Popen(_verify_cmd(tmp_path, name, jobs), env=env,
+                                    stdout=subprocess.DEVNULL,
+                                    start_new_session=True)
+            try:
+                time.sleep(rng.uniform(0.2, 2.0))
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    kills += 1
+                proc.wait()
+        done = subprocess.run(_verify_cmd(tmp_path, name, jobs), env=env,
+                              capture_output=True, check=True)
+        report = json.loads(done.stdout)
+        assert report["verified"] == 6000 and report["failed"] == 0
+        assert report["stream_hash"] == ref_hash
+        assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
+    assert kills >= 2
 
 
 def test_cli_left_weighted(capsys):

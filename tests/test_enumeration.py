@@ -406,6 +406,13 @@ def test_count_builds_each_choice_list_once(monkeypatch):
 # -- unranking against the linear-scan walk ---------------------------------
 
 
+def _materialize(enum, cols):
+    """The table whose column i has a-values cols[i-1] and b = d - cols[i]."""
+    d = enum.d
+    b_cols = [tuple(d - v for v in a) for a in cols[1:]]
+    return table_from_columns(enum.chain, enum.r, d, cols[:-1], b_cols)
+
+
 def _reference_walk(enum, start, count):
     """The tables [start, start+count): a linear scan that passes over whole
     subtrees by their count until the offset lands, then streams."""
@@ -420,7 +427,7 @@ def _reference_walk(enum, start, count):
             entered = True
             cols.append(a)
             if i == enum.g:
-                yield enum._materialize(cols)
+                yield _materialize(enum, cols)
             else:
                 yield from walk(i + 1, (
                     (ch.new_a, budget - ch.cost,

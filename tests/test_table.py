@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import json
 
 import pytest
@@ -507,3 +508,72 @@ def test_column_cache_is_cleared_at_its_cap(monkeypatch):
         assert table_module._shape_row.cache_info().currsize <= 5
     assert table_module.column.cache_info().misses > 5
     assert capped == free
+
+
+# -- the table hash against its plain payload --------------------------------
+
+
+def _reference_table_hash(table):
+    payload = "%d;%d;%s;%s;%s" % (table.r, table.d, table.chain.genera,
+                                  table.a, table.b)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _rebuilt(table):
+    """The same table from fresh column tuples, sharing no object."""
+    return VanishingTable(ChainCurve(tuple(table.chain.genera)), table.r,
+                          table.d, tuple(tuple(c) for c in map(list, table.a)),
+                          tuple(tuple(c) for c in map(list, table.b)))
+
+
+@st.composite
+def hash_runs(draw):
+    """Tables in random order: single hypothesis tables, or runs of
+    range-walk neighbours, each maybe rebuilt from fresh tuples."""
+    kind = draw(st.sampled_from(("rho", "oracle", "neighbours")))
+    if kind == "rho":
+        tables = [draw(rho_tables())]
+    elif kind == "oracle":
+        tables = [draw(oracle_tables())]
+    else:
+        enum = draw(st.sampled_from(_RHO_FAMILIES))
+        count = draw(st.integers(2, 8))
+        start = draw(st.integers(0, enum.total() - count))
+        tables = [t for _, t in enum.iter_range(start, count)]
+    if draw(st.booleans()):
+        tables = [_rebuilt(t) for t in tables]
+    return tables
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(hash_runs(), min_size=1, max_size=5))
+def test_table_hash_matches_plain_payload(runs):
+    for table in (t for run in runs for t in run):
+        assert table.table_hash() == _reference_table_hash(table)
+
+
+def test_table_hash_reads_reprs_not_equality():
+    # (1, ...) and (True, ...) are equal tuples and share a Column, but
+    # their reprs, and so the hashes, differ
+    base = g22_example()
+    a = list(base.a)
+    assert a[2][0] == 1
+    a[2] = (True,) + a[2][1:]
+    flagged = dataclasses.replace(base, a=tuple(a))
+    assert flagged == base
+    hashes = [t.table_hash() for t in (base, flagged, base, flagged)]
+    assert hashes == [_reference_table_hash(t)
+                      for t in (base, flagged, base, flagged)]
+    assert hashes[0] != hashes[1]
+
+
+def test_table_hash_of_one_column_and_list_tables():
+    base = g22_example()
+    one = table_from_columns(ChainCurve((1,)), base.r, base.d,
+                             base.a[:1], base.b[:1])
+    listed = dataclasses.replace(base, a=[list(c) for c in base.a],
+                                 b=list(base.b))
+    for table in (one, base, one, listed, base, listed, listed):
+        assert table.table_hash() == _reference_table_hash(table)
+    assert "((" in "%s" % (one.a,) and "),)" in "%s" % (one.a,)
+    assert listed.table_hash() != base.table_hash()

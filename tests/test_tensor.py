@@ -1,5 +1,9 @@
+import dataclasses
 import random
+import sys
+import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,9 +16,13 @@ from llschain import (
     pair_list,
     table_from_columns,
 )
+from llschain import tensor as tensor_module
 from llschain.enumeration import TableEnumerator
-from llschain.multidegree import TwistVector, twist_from_threes
+from llschain.multidegree import (MultidegreeError, TwistVector,
+                                  degree_three_columns, twist_from_threes)
 from llschain.table import packing
+from llschain.tensor import section_runs
+from test_table import _reference_table_hash, refined_tables
 
 
 def _flags(tt, w, i, pair):
@@ -187,6 +195,145 @@ def test_packed_scan_matches_naive_oracle_at_field_widths(case):
     table, w = case
     got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
     assert got == naive_sections(build_tensor_table(table), w)
+
+
+_SCAN_FAMILIES = [TableEnumerator(21, 6, 24, 0),
+                  TableEnumerator(22, 6, 25, None, "has_swap"),
+                  TableEnumerator(23, 6, 26, None, "two_swap")]
+
+
+def _scan_sections(table, w):
+    pairs = pair_list(table.r)
+    return [(pairs[p], s + 1, e + 1) for p, s, e in section_runs(table, w)]
+
+
+@st.composite
+def genus0_tables_and_twists(draw):
+    """Refined tables whose chains mix genus-0 and genus-1 components, with
+    any bounded twist vector."""
+    table = draw(refined_tables())
+    D = 2 * table.d
+    c = tuple(draw(st.integers(0, D)) for _ in range(table.n_columns - 1))
+    return table, TwistVector(D, c)
+
+
+@st.composite
+def scan_calls(draw):
+    """A sequence of section_runs calls, as (table, w) or (table, bad w):
+    runs of range-walk neighbours at the default multidegree, unrelated
+    tables, the same table twice, another candidate w (a 3 moved to a
+    neighbouring column, or anywhere), other (r, d, n), genus-0 columns and
+    calls rejected before the scan."""
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("walk", "unrelated", "again", "move",
+                                     "threes", "short", "genus0", "bad")))
+        if kind in ("walk", "unrelated"):
+            enum = draw(st.sampled_from(_SCAN_FAMILIES))
+            count = draw(st.integers(2, 12)) if kind == "walk" else 1
+            start = draw(st.integers(0, enum.total() - count))
+            calls += [(t, default_multidegree(t))
+                      for _, t in enum.iter_range(start, count)]
+        elif kind == "short":
+            calls.append(draw(short_tables_and_twists()))
+        elif kind == "genus0":
+            calls.append(draw(genus0_tables_and_twists()))
+        elif not calls:
+            continue
+        elif kind == "again":
+            calls.append(calls[-1])
+        elif kind == "bad":
+            table, w = calls[-1]
+            calls.append((table, TwistVector(w.D, w.c + (w.D,))))
+        else:
+            table, w = calls[-1]
+            chain = table.chain
+            if (set(chain.genera) != {1} or table.r != 6
+                    or w.n_components != table.n_columns):
+                continue
+            threes = list(degree_three_columns(w, chain))
+            n = table.n_columns
+            if len(threes) != 2 * (table.d - n):
+                continue
+            if kind == "move":
+                k = draw(st.integers(0, len(threes) - 1))
+                to = threes[k] + draw(st.sampled_from((-1, 1)))
+                if not 1 <= to <= n or to in threes:
+                    continue
+                threes[k] = to
+            else:
+                threes = draw(st.lists(st.integers(1, n), min_size=len(threes),
+                                       max_size=len(threes), unique=True))
+            calls.append((table, twist_from_threes(chain, table.d, threes)))
+    return calls
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(scan_calls())
+def test_resumed_scan_matches_naive_oracle_along_call_sequences(calls):
+    for table, w in calls:
+        if w.n_components != table.n_columns:
+            with pytest.raises(MultidegreeError):
+                section_runs(table, w)
+            continue
+        assert _scan_sections(table, w) == \
+            naive_sections(build_tensor_table(table), w)
+
+
+def test_scan_resumes_at_first_changed_column():
+    # the states saved before the columns both tables share are kept, and
+    # every later one is rebuilt
+    enum = _SCAN_FAMILIES[0]
+    tables = [t for _, t in enum.iter_range(600_000, 40)]
+    resumed = 0
+    for prev, table in zip(tables, tables[1:]):
+        w = default_multidegree(prev)
+        if default_multidegree(table) != w:
+            continue
+        section_runs(prev, w)
+        before = list(tensor_module._last_scan.states)
+        assert _scan_sections(table, w) == \
+            naive_sections(build_tensor_table(table), w)
+        after = tensor_module._last_scan.states
+        k = next(x for x, (c, p) in enumerate(zip(table.columns, prev.columns))
+                 if c is not p)
+        k = min(k, table.n_columns - 1)
+        assert all(after[x] is before[x] for x in range(k))
+        assert all(after[x] is not before[x] for x in range(k, len(after)))
+        resumed += k > 0
+    assert resumed > 30
+
+
+def test_resume_slots_are_per_thread():
+    # threads scanning and hashing their own runs of neighbours, switching
+    # every microsecond, each get the answers of a serial run
+    enum = _SCAN_FAMILIES[0]
+    runs = [[t for _, t in enum.iter_range(start, 25)]
+            for start in (0, 400_000, 800_000, 1_200_000)]
+    expected = [[(naive_sections(build_tensor_table(t), default_multidegree(t)),
+                  _reference_table_hash(t)) for t in run] for run in runs]
+    got = [[] for _ in runs]
+
+    def work(k):
+        for _ in range(4):
+            got[k] = [(_scan_sections(t, default_multidegree(t)),
+                       dataclasses.replace(t).table_hash()) for t in runs[k]]
+            if got[k] != expected[k]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
 
 
 def test_spanning_counts_g22():
