@@ -13,12 +13,7 @@ import sys
 
 from .chain import build_elliptic_chain, left_weighted_weights
 from .drop import DropContext, drop_all
-from .enumeration import (
-    STRATA,
-    TableEnumerator,
-    count_small_oracle,
-    enumerate_tables,
-)
+from .enumeration import STRATA, TableEnumerator, count_small_oracle
 from .fixtures import g22_example
 from .multidegree import TwistVector, default_multidegree
 from .render import (
@@ -63,27 +58,28 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stratum", default="all", choices=list(STRATA))
 
 
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that pick a run's indices (see ``run_indices``), and --out."""
+    p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--out", default=None)
+
+
 def _cmd_enumerate(args) -> int:
-    if args.limit is not None and args.limit < 0:
-        raise ValueError(f"limit must be non-negative, got {args.limit}")
-    stream = enumerate_tables(
-        args.g, args.r, args.d, args.rho_max,
-        mode=args.mode, n=args.n, seed=args.seed, stratum=args.stratum,
-    )
+    enum = TableEnumerator(args.g, args.r, args.d, args.rho_max, args.stratum)
+    indices = enum.run_indices(args.mode, args.n, args.seed, args.limit)
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
-        emitted = 0
         batch = []
-        for table in stream:
-            if args.limit is not None and emitted >= args.limit:
-                break
+        for _, table in enum.iter_slice(indices):
             record = json.dumps(table.to_json(), sort_keys=True,
                                 separators=(",", ":"))
             if args.format == "jsonl":
                 out.write(record + "\n")
             else:
                 batch.append(record)
-            emitted += 1
         if args.format == "json":
             out.write("[" + ",\n ".join(batch) + "]\n")
     finally:
@@ -212,11 +208,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("enumerate", help="stream tables as JSONL")
     _add_family_flags(p)
-    p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--out", default=None)
+    _add_run_flags(p)
     p.add_argument("--format", default="jsonl", choices=["jsonl", "json"])
     p.set_defaults(func=_cmd_enumerate)
 
@@ -226,13 +218,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="verify a family, streaming verdicts")
     _add_family_flags(p)
-    p.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sampled"])
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_run_flags(p)
     p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--limit", type=int, default=None)
     p.add_argument("--emit-certs", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

@@ -60,8 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multidegree import (MultidegreeError, TwistVector, component_degrees,
-                          degrees_unimaginative)
+from .multidegree import MultidegreeError, TwistVector, degrees_unimaginative
 from .table import VanishingTable, pair_list
 from .tensor import PotentialSection, pair_positions, section_runs
 
@@ -108,15 +107,16 @@ class DropContext:
     )
 
     def __init__(self, table: VanishingTable, w: TwistVector):
-        runs = section_runs(table, w)
+        runs = section_runs(table, w)   # checks w's length, total and bounds
+        self.n = n = table.n_columns
+        ext = w.extended()
         self.genera = genera = table.chain.genera
-        self.degree = degree = component_degrees(w, table.chain)
+        self.degree = degree = tuple(ext[i + 1] - ext[i] for i in range(1, n + 1))
         if not degrees_unimaginative(genera, degree):
             raise MultidegreeError("twist vector is not unimaginative")
         cols = table.columns
         self.table_hash = table.hash
         self.w = w
-        self.n = n = table.n_columns
         self.d2 = 2 * table.d
         self.delta = table.shape.delta[1:]
         self.exc = [col.exc for col in cols]
@@ -413,21 +413,19 @@ class DropResult:
     search_truncated: bool = False
 
 
-def drop_all(ctx: DropContext, max_nodes: int = _SEARCH_MAX_NODES) -> DropResult:
-    """Try to drop every section of `ctx`; failure is a value, not an error."""
+def drop_all(ctx: DropContext) -> DropResult:
+    """Try to drop every section of `ctx`, by the greedy schedule and then a
+    bounded search; failure is a value, not an error."""
     full = (1 << len(ctx.sections)) - 1
     steps: list[dict] = []
     stuck = _greedy(ctx, full, steps)
     if stuck == 0:
         cert = DropCertificate(ctx.table_hash, ctx.w, tuple(steps))
         return DropResult(True, cert)
-    if max_nodes > 0:
-        found, truncated = _search(ctx, full, max_nodes=max_nodes)
-        if found is not None:
-            cert = DropCertificate(ctx.table_hash, ctx.w, tuple(found))
-            return DropResult(True, cert)
-    else:
-        truncated = True
+    found, truncated = _search(ctx, full)
+    if found is not None:
+        cert = DropCertificate(ctx.table_hash, ctx.w, tuple(found))
+        return DropResult(True, cert)
     remaining = [ctx.sections[i] for i in _bits(stuck)]
     return DropResult(False, None, remaining, search_truncated=truncated)
 

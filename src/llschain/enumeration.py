@@ -22,7 +22,10 @@ children in canonical order and the prefix sums of their stratum counts, so
 unranking an index takes one bisection per column (rank/unrank by counting,
 Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  This powers uniform
 deterministic sampling (unranking seeded random indices) and the stratified
-range streams used for the big verification runs.  A walk keeps each
+range streams used for the big verification runs.  ``run_indices`` is the
+one map from a run's mode, sample size, seed and limit to the indices it
+covers (a ``range`` or a sorted list), and ``iter_slice`` streams any slice
+of it: a range by one walk, a list index by index.  A walk keeps each
 column's a- and b-tuples on two stacks, built once per node entered, so
 neighbouring tables share their leading column tuples, after which the
 section scan and the table hash resume.
@@ -306,9 +309,6 @@ class TableEnumerator:
         stop = min(start + count, self.total())  # the walk starts below total
         return zip(range(start, stop), self._walk(0, self._root(), start, [], []))
 
-    def iter_all(self) -> Iterator[tuple[int, VanishingTable]]:
-        return self.iter_range(0, self.total())
-
     def sample_indices(self, n: int, seed: int) -> list[int]:
         if n < 0:
             raise EnumerationError(f"sample size must be non-negative, got {n}")
@@ -331,25 +331,48 @@ class TableEnumerator:
             yield (idx, next(self._walk(0, root, idx, [], [])))
             prev = idx
 
+    def run_indices(self, mode: str, n: int | None, seed: int | None,
+                    limit: int | None) -> range | list[int]:
+        """The indices a run covers, in stream order: ``range(total)`` for an
+        exhaustive run or the seeded sample of ``n`` for a sampled one, cut
+        to its first ``limit``.
+
+        The arguments are checked before the family is counted, so a caller
+        can reject bad ones before it creates any output.  A run that stops
+        and resumes covers a prefix of this sequence, and so a resumed run
+        with the same arguments covers exactly the uninterrupted run's.
+        """
+        if mode not in ("exhaustive", "sampled"):
+            raise EnumerationError(
+                f"mode must be exhaustive or sampled, got {mode!r}")
+        if mode == "sampled" and (n is None or seed is None):
+            raise EnumerationError("sampled mode needs n and seed")
+        if n is not None and n < 0:
+            raise EnumerationError(f"n must be non-negative, got {n}")
+        if limit is not None and limit < 0:
+            raise EnumerationError(f"limit must be non-negative, got {limit}")
+        if mode == "exhaustive":
+            return range(self.total())[:limit]
+        return self.sample_indices(n, seed)[:limit]
+
+    def iter_slice(self, indices: range | list[int]
+                   ) -> Iterator[tuple[int, VanishingTable]]:
+        """Yield (index, table) for a slice of :meth:`run_indices`: a range
+        is walked, a list is unranked index by index."""
+        if isinstance(indices, range):
+            return self.iter_range(indices.start, len(indices))
+        return self.iter_indices(indices)
+
 
 def enumerate_tables(g: int, r: int, d: int, rho_max: int | None = None,
                      mode: str = "exhaustive", n: int | None = None,
                      seed: int | None = None,
                      stratum: str = "all") -> Iterator[VanishingTable]:
-    """Stream valid tables, exhaustively or as a seeded uniform sample.
-
-    The arguments are checked, and the family counted, before this returns,
-    so a caller can reject bad ones before it creates any output.
-    """
+    """Stream valid tables, exhaustively or as a seeded uniform sample: the
+    tables of :meth:`TableEnumerator.run_indices`, checked and counted
+    before this returns."""
     enum = TableEnumerator(g, r, d, rho_max, stratum)
-    if mode == "exhaustive":
-        pairs = enum.iter_all()
-    elif mode == "sampled":
-        if n is None or seed is None:
-            raise EnumerationError("sampled mode needs n and seed")
-        pairs = enum.iter_indices(enum.sample_indices(n, seed))
-    else:
-        raise EnumerationError(f"unknown mode {mode!r}")
+    pairs = enum.iter_slice(enum.run_indices(mode, n, seed, None))
     return (table for _, table in pairs)
 
 

@@ -15,12 +15,16 @@ the two 3-cycle shapes, the extra side condition holds:
 Disjoint-swap and cycle2 verdicts carry the left-weighted requirement as a
 recorded flag with the minimal weight vector attached.
 
-Family runs stream verdicts as JSONL with a chained stream hash, checkpoint
-after every merged chunk (with the JSONL's length, so a resume cuts off
-lines written past it), partition the enumeration by index ranges for worker
-processes, and aggregate a report with per-class counts and the structural
-invariant checks (spanning bound, swap bound, disconnection bound) observed
-along the way.
+A family run covers one index sequence, ``TableEnumerator.run_indices``: the
+stratum's range or a seeded sample, cut to ``limit`` from its start.  Its
+chunks are consecutive slices of that sequence, verified in order or by
+worker processes.  Verdicts stream as JSONL with a chained stream hash, and
+a checkpoint after every merged chunk records how many indices are done and
+the JSONL's length.  A resume cuts off lines written past it and continues
+the same sequence, so rerunning the identical command after a stop or a
+hard kill finishes exactly the uninterrupted run.  The report aggregates
+per-class counts and the structural invariant checks (spanning bound, swap
+bound, disconnection bound) observed along the way.
 """
 
 from __future__ import annotations
@@ -311,12 +315,8 @@ def _merge_counters(counters: dict, chunk: dict) -> None:
 
 
 def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
-    spec, payload, emit_certs = args
-    enum = _worker_enumerator(spec)
-    if payload[0] == "range":
-        items = enum.iter_range(payload[1], payload[2])
-    else:
-        items = enum.iter_indices(list(payload[1]))
+    spec, indices, emit_certs = args
+    items = _worker_enumerator(spec).iter_slice(indices)
     lines: list[str] = []
     counters = _new_counters()
     for idx, table in items:
@@ -342,23 +342,6 @@ def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
                     {"index": idx, "violations": list(verdict.invariant_violations)}
                 )
     return lines, counters
-
-
-def _chunks(config: FamilyConfig, total: int, skip: int):
-    if config.mode == "exhaustive":
-        end = total if config.limit is None else min(total, skip + config.limit)
-        pos = skip
-        while pos < end:
-            size = min(_CHUNK_SIZE, end - pos)
-            yield ("range", pos, size)
-            pos += size
-    else:
-        enum = _worker_enumerator(config.spec_key())
-        indices = enum.sample_indices(config.n or 0, config.seed)
-        if config.limit is not None:
-            indices = indices[: skip + config.limit]
-        for lo in range(skip, len(indices), _CHUNK_SIZE):
-            yield ("indices", tuple(indices[lo : lo + _CHUNK_SIZE]))
 
 
 def _checkpoint_spec(config: FamilyConfig) -> list:
@@ -429,31 +412,22 @@ def _chain_hash(prev: str, line: str) -> str:
 def verify_family(config: FamilyConfig) -> Report:
     """Verify a whole (g, r, d) stratum, streaming verdicts to JSONL."""
     started = time.time()
-    if config.limit is not None and config.limit < 0:
-        raise ValueError(f"limit must be non-negative, got {config.limit}")
     if config.r != 6:
         # the default multidegree, and so every verdict, is defined for r = 6
         raise ValueError(f"verification is defined for r = 6, got r = {config.r}")
     if config.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {config.jobs}")
-    if config.mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"mode must be exhaustive or sampled, got {config.mode!r}")
-    if config.mode == "sampled" and config.n is None:
-        raise ValueError("sampled mode needs n")
-    if config.n is not None and config.n < 0:
-        raise ValueError(f"n must be non-negative, got {config.n}")
-    enum = _worker_enumerator(config.spec_key())
-    total = enum.total()
-    stream_total = min(config.n, total) if config.mode == "sampled" else total
+    spec = config.spec_key()
+    enum = _worker_enumerator(spec)
+    indices = enum.run_indices(config.mode, config.n, config.seed, config.limit)
 
     checkpoint = _load_checkpoint(config)
     done = resumed_from = checkpoint.get("done", 0)
     stream_hash = checkpoint.get("stream_hash", "")
     counters = checkpoint.get("counters") or _new_counters()
 
-    spec = config.spec_key()
-    tasks = ((spec, payload, config.emit_certificates)
-             for payload in _chunks(config, stream_total, done))
+    tasks = ((spec, indices[lo:lo + _CHUNK_SIZE], config.emit_certificates)
+             for lo in range(done, len(indices), _CHUNK_SIZE))
     with contextlib.ExitStack() as stack:
         out_fh = None
         if config.out_path:
@@ -475,7 +449,7 @@ def verify_family(config: FamilyConfig) -> Report:
     return Report(
         g=config.g, r=config.r, d=config.d,
         stratum=config.stratum, mode=config.mode, seed=config.seed,
-        total_in_stratum=total,
+        total_in_stratum=enum.total(),
         verified=done,
         passed=counters["passed"],
         failed=counters["failed"],

@@ -38,11 +38,12 @@ from llschain import (
     twist_vanishing_components,
     validate_table,
 )
+from llschain.drop import _greedy
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import TwistVector, twist_from_threes
 from llschain.verify import FamilyConfig, verify_family
 
-from test_drop import drop_from, exhaustive_order_verdict, mask_of
+from test_drop import drop_from, exhaustive_order_verdict
 from test_tensor import naive_sections
 
 MODE = os.environ.get("LLSCHAIN_ACCEPTANCE", "standard")
@@ -232,9 +233,9 @@ def test_criterion_5c_drop_order_invariance():
     for _, table in enum6.iter_indices(enum6.sample_indices(40, seed=54)):
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
         ctx = DropContext(table, w)
-        stuck = drop_all(ctx, max_nodes=0)
-        if not stuck.success and len(stuck.remaining) <= 12:
-            instances.append((ctx, mask_of(ctx, stuck.remaining)))
+        stuck = _greedy(ctx, (1 << len(ctx.sections)) - 1, [])
+        if stuck and stuck.bit_count() <= 12:
+            instances.append((ctx, stuck))
         if len(instances) >= 200:
             break
     instances = instances[:200]

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from llschain import g22_example
+from llschain import VanishingTable, g22_example
 from llschain.cli import main
 from llschain.render import (
     multidegree_header,
@@ -94,52 +94,83 @@ def test_cli_verify_small(capsys, tmp_path):
     assert report["verified"] == 25
 
 
-def _verify_cmd(tmp_path, name, jobs):
-    """Verify the first 6,000 rho-0 tables of (21,6,24); a resumed run's
-    ``--limit`` counts from its checkpoint, so it asks for the rest."""
-    ck = tmp_path / f"{name}.ck"
-    done = json.loads(ck.read_text())["done"] if ck.exists() else 0
+@pytest.mark.parametrize("run", [
+    (),
+    ("--mode", "sampled", "--n", "40", "--seed", "2"),
+], ids=["exhaustive", "sampled"])
+def test_cli_enumerate_and_verify_cover_the_same_indices(tmp_path, run):
+    family = ["--g", "21", "--d", "24", "--rho-max", "0", *run, "--limit", "25"]
+    tables, verdicts = tmp_path / "t.jsonl", tmp_path / "v.jsonl"
+    assert main(["enumerate", *family, "--out", str(tables)]) == 0
+    assert main(["verify", *family, "--out", str(verdicts)]) == 0
+    enumerated = [VanishingTable.from_json(json.loads(line)).hash
+                  for line in tables.read_text().splitlines()]
+    verified = [json.loads(line) for line in verdicts.read_text().splitlines()]
+    assert len(enumerated) == 25
+    assert enumerated == [v["table"] for v in verified]
+    if run:   # a sample, not the start of the range
+        assert [v["index"] for v in verified] != list(range(25))
+
+
+def _verify_cmd(tmp_path, name, jobs, *run):
+    """The one command every run of ``name`` repeats: the rho-0 tables of
+    (21,6,24) picked by the run flags ``run``, by default the first 6,000."""
     return [sys.executable, "-m", "llschain.cli", "verify", "--g", "21",
-            "--d", "24", "--rho-max", "0", "--limit", str(6000 - done),
-            "--jobs", str(jobs), "--checkpoint", str(ck),
+            "--d", "24", "--rho-max", "0", *(run or ("--limit", "6000")),
+            "--jobs", str(jobs), "--checkpoint", str(tmp_path / f"{name}.ck"),
             "--out", str(tmp_path / f"{name}.jsonl")]
 
 
-def test_cli_verify_resumes_after_hard_kills(tmp_path):
-    # each run is started in its own session and killed, with its pool
-    # workers, by SIGKILL to its process group at a seeded random moment;
-    # the resumed runs must write the uninterrupted run's bytes and hash
+def _kill_then_finish(cmd, rng, runs=3):
+    """Start ``cmd`` ``runs`` times in its own session, SIGKILL its process
+    group (pool workers included) at a seeded random moment, then run it to
+    completion: (its report, the number of runs killed)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    ref = subprocess.run(_verify_cmd(tmp_path, "ref", 1), env=env,
-                         capture_output=True, check=True)
-    ref_hash = json.loads(ref.stdout)["stream_hash"]
+    kills = 0
+    for _ in range(runs):
+        proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
+                                start_new_session=True)
+        try:
+            time.sleep(rng.uniform(0.2, 2.0))
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                kills += 1
+            proc.wait()
+    done = subprocess.run(cmd, env=env, capture_output=True, check=True)
+    return json.loads(done.stdout), kills
+
+
+def _assert_resumes_after_hard_kills(tmp_path, rng, run=(), tables=6000):
+    # rerunning the identical command after each kill must write the
+    # uninterrupted run's bytes and hash, for one job and for two
+    ref, _ = _kill_then_finish(_verify_cmd(tmp_path, "ref", 1, *run), rng, runs=0)
     expected = (tmp_path / "ref.jsonl").read_bytes()
-    assert expected.count(b"\n") == 6000
-    rng = random.Random(20261019)
+    assert expected.count(b"\n") == ref["verified"] == tables
     kills = 0
     for jobs in (1, 2):
         name = f"killed{jobs}"
-        for _ in range(3):
-            proc = subprocess.Popen(_verify_cmd(tmp_path, name, jobs), env=env,
-                                    stdout=subprocess.DEVNULL,
-                                    start_new_session=True)
-            try:
-                time.sleep(rng.uniform(0.2, 2.0))
-            finally:
-                if proc.poll() is None:
-                    os.killpg(proc.pid, signal.SIGKILL)
-                    kills += 1
-                proc.wait()
-        done = subprocess.run(_verify_cmd(tmp_path, name, jobs), env=env,
-                              capture_output=True, check=True)
-        report = json.loads(done.stdout)
-        assert report["verified"] == 6000 and report["failed"] == 0
-        assert report["stream_hash"] == ref_hash
+        report, killed = _kill_then_finish(_verify_cmd(tmp_path, name, jobs, *run),
+                                           rng)
+        kills += killed
+        assert report["verified"] == tables and report["failed"] == 0
+        assert report["stream_hash"] == ref["stream_hash"]
         assert (tmp_path / f"{name}.jsonl").read_bytes() == expected
     assert kills >= 2
+
+
+def test_cli_verify_resumes_after_hard_kills(tmp_path):
+    _assert_resumes_after_hard_kills(tmp_path, random.Random(20261019))
+
+
+def test_cli_verify_sampled_resumes_after_hard_kills(tmp_path):
+    # a sampled run's chunks are lists of indices, not ranges; the limit
+    # cuts the sample, so the run stops short of its 6,000 draws
+    run = ("--mode", "sampled", "--n", "6000", "--seed", "3", "--limit", "4000")
+    _assert_resumes_after_hard_kills(tmp_path, random.Random(14), run, 4000)
 
 
 def test_cli_left_weighted(capsys):

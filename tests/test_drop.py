@@ -333,10 +333,10 @@ def small_drop_instances(n_success=20, n_failure=6):
     for _, table in enum6.iter_indices(enum6.sample_indices(2 * n_failure, seed=31)):
         w = twist_from_threes(table.chain, table.d, (16, 17, 18, 19, 20, 21))
         ctx = DropContext(table, w)
-        result = drop_all(ctx, max_nodes=0)
-        if result.success or len(result.remaining) > 12:
+        stuck = _greedy(ctx, (1 << len(ctx.sections)) - 1, [])
+        if stuck == 0 or stuck.bit_count() > 12:
             continue
-        out.append((ctx, mask_of(ctx, result.remaining)))
+        out.append((ctx, stuck))
         collected += 1
         if collected >= n_failure:
             break

@@ -59,7 +59,7 @@ def test_more_oracle_agreement():
         enum = TableEnumerator(g, r, d, rho_max)
         assert enum.total() == count_small_oracle(g, r, d, rho_max), (g, r, d)
         # each table is streamed once: a one-row family has no (1, 1) root
-        hashes = [table.hash for _, table in enum.iter_all()]
+        hashes = [table.hash for _, table in enum.iter_range(0, enum.total())]
         assert len(set(hashes)) == len(hashes) == enum.total(), (g, r, d)
 
 
@@ -128,7 +128,7 @@ def test_rho0_counts_are_rectangle_tableaux():
 
 def test_stream_valid_and_canonical():
     enum = TableEnumerator(5, 1, 4, 1)
-    tables = [t for _, t in enum.iter_all()]
+    tables = [t for _, t in enum.iter_range(0, enum.total())]
     assert len(tables) == enum.total()
     hashes = [t.table_hash() for t in tables]
     assert len(set(hashes)) == len(hashes)
@@ -140,10 +140,10 @@ def test_stream_valid_and_canonical():
 
 def test_stream_deterministic_and_sliceable():
     enum = TableEnumerator(5, 1, 4, 1)
-    full = [t.table_hash() for _, t in enum.iter_all()]
-    again = [t.table_hash() for _, t in TableEnumerator(5, 1, 4, 1).iter_all()]
-    assert full == again
     total = enum.total()
+    full = [t.table_hash() for _, t in enum.iter_range(0, total)]
+    again = [t.table_hash() for _, t in TableEnumerator(5, 1, 4, 1).iter_range(0, total)]
+    assert full == again
     pieces = []
     step = 7
     for start in range(0, total, step):
@@ -158,7 +158,7 @@ def test_stream_deterministic_and_sliceable():
 ])
 def test_indices_align_with_stream(g, r, d, rho_max, stratum):
     enum = TableEnumerator(g, r, d, rho_max, stratum)
-    stream = list(enum.iter_all())
+    stream = list(enum.iter_range(0, enum.total()))
     assert stream
     for idx, table in stream:
         got = list(enum.iter_range(idx, 1))
@@ -255,6 +255,30 @@ def test_enumerate_guards():
         enumerate_tables(6, 1, 4, 0, mode="sampled", n=-1, seed=0)
     with pytest.raises(EnumerationError):
         enumerate_tables(4, 1, 2)
+
+
+def test_run_indices_are_the_range_or_sample_cut_to_limit():
+    enum = TableEnumerator(5, 1, 4, 1)
+    for mode, n, seed, limit, match in (
+            ("exhaustve", None, 0, None, "mode"),
+            ("sampled", None, 0, None, "needs n"),
+            ("sampled", 4, None, None, "needs n"),
+            ("sampled", -1, 0, None, "n must be non-negative"),
+            ("exhaustive", None, 0, -1, "limit must be non-negative")):
+        with pytest.raises(EnumerationError, match=match):
+            enum.run_indices(mode, n, seed, limit)
+    assert not enum._memo   # refused before the family is counted
+    total = enum.total()
+    assert enum.run_indices("exhaustive", None, 0, None) == range(total)
+    assert enum.run_indices("exhaustive", 3, 0, 7) == range(7)
+    assert enum.run_indices("exhaustive", None, 0, total + 5) == range(total)
+    sample = enum.sample_indices(10, seed=3)
+    assert enum.run_indices("sampled", 10, 3, None) == sample
+    assert enum.run_indices("sampled", 10, 3, 4) == sample[:4]
+    assert enum.run_indices("sampled", 10, 3, 0) == []
+    stream = dict(enum.iter_range(0, total))
+    for part in (range(total)[3:9], range(total)[total:], sample[2:6], []):
+        assert list(enum.iter_slice(part)) == [(i, stream[i]) for i in part]
 
 
 def test_walk_rejects_counts_its_subtrees_do_not_hold():

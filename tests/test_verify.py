@@ -186,7 +186,7 @@ def test_family_checkpoint_resume_hash_equality(tmp_path, monkeypatch):
                                        out_path=str(tmp_path / "resumed.jsonl"),
                                        checkpoint_path=str(ck)))
     assert part1.verified == 80
-    part2 = verify_family(FamilyConfig(**base, limit=120,
+    part2 = verify_family(FamilyConfig(**base, limit=200,
                                        out_path=str(tmp_path / "resumed.jsonl"),
                                        checkpoint_path=str(ck)))
     assert part2.resumed_from == 80
@@ -210,10 +210,31 @@ def test_family_resume_drops_lines_past_checkpoint(tmp_path, monkeypatch):
     past = full.read_text().splitlines(keepends=True)[80:82]
     with open(resumed, "a", encoding="utf-8") as fh:
         fh.writelines(past)
-    report = verify_family(FamilyConfig(**base, limit=120, out_path=str(resumed),
+    report = verify_family(FamilyConfig(**base, limit=200, out_path=str(resumed),
                                         checkpoint_path=str(ck)))
     assert report.resumed_from == 80 and report.verified == 200
     assert resumed.read_text() == full.read_text()
+
+
+def test_family_resume_within_its_checkpoint_verifies_nothing(tmp_path, monkeypatch):
+    # the limit counts from the start of the run, so a resume whose limit is
+    # at or below the checkpoint's count has nothing left to verify; it still
+    # cuts off lines a hard kill left past the checkpoint
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    base = dict(g=21, r=6, d=24, rho_max=0, mode="sampled", n=120, seed=5)
+    out, ck = tmp_path / "s.jsonl", tmp_path / "s.ck"
+    first = verify_family(FamilyConfig(**base, limit=80, out_path=str(out),
+                                       checkpoint_path=str(ck)))
+    written, saved = out.read_bytes(), ck.read_bytes()
+    for limit in (80, 50, 0):
+        with open(out, "a", encoding="utf-8") as fh:
+            fh.write('{"stray":true}\n')
+        report = verify_family(FamilyConfig(**base, limit=limit, out_path=str(out),
+                                            checkpoint_path=str(ck)))
+        assert report.resumed_from == report.verified == 80
+        assert report.stream_hash == first.stream_hash
+        assert out.read_bytes() == written
+        assert ck.read_bytes() == saved
 
 
 def test_family_resume_rejects_output_it_cannot_cut(tmp_path, monkeypatch):
