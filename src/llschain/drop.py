@@ -39,8 +39,19 @@ same side, same set of sections) and nothing remains at the end.
 
 Building a context is linear in columns and sections: the masks come from
 one pass over the sections' ends, and `cover` from one running OR over the
-columns.  Replay reads each step's sections as a mask too, through one
-key-to-bit map, and compares it with the mask `_find` returns.
+columns.  Replay reads each step in one pass, in line: its rule, its place
+and then each section, type-checking every field (an int is exactly an int,
+a row exactly a list of two ints) and or-ing each section's bit from one
+key-to-bit map into the step's mask.  A section the context does not hold,
+or one named twice, marks the step rejected, but the rest of the step is
+still read, so a malformed field anywhere in a step raises
+MalformedCertificate whether or not the step would be rejected.  The step
+is then judged: its place must lie in the chain (rule iii: be a block the
+context considers), and its side and mask must equal what `_find` returns.
+
+A certificate's JSON text is written by `DropCertificate.to_text` in sorted
+key order, each section's fragment `{"end":..,"row":[..],"start":..}` taken
+from a cache keyed on its four ints.
 
 `_find` reads the state only through the mask of the place it is asked
 about: `alive & cover[x]` at a column x (rules i and ii), the live sections
@@ -58,6 +69,8 @@ step lists its sections in index order.
 
 from __future__ import annotations
 
+import functools
+import json
 from dataclasses import dataclass, field
 
 from .multidegree import MultidegreeError, TwistVector, degrees_unimaginative
@@ -370,6 +383,13 @@ def _search(ctx: DropContext, alive: int,
     return go(alive), truncated
 
 
+@functools.lru_cache(maxsize=8192)
+def _section_text(j1: int, j2: int, start: int, end: int) -> str:
+    """The sorted compact JSON of a section.  A family of n columns has at
+    most 28 n (n + 1) / 2 sections, which the cache holds for n <= 23."""
+    return '{"end":%d,"row":[%d,%d],"start":%d}' % (end, j1, j2, start)
+
+
 @dataclass(frozen=True)
 class DropCertificate:
     """Replayable elimination trace for one (table, multidegree) pair."""
@@ -390,11 +410,42 @@ class DropCertificate:
             "steps": list(self.steps),
         }
 
+    def to_text(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``
+        for steps as `_step` writes them, spelled out in sorted key order
+        with each section's text taken from `_section_text`.  A step of
+        another rule raises MalformedCertificate."""
+        parts = []
+        for step in self.steps:
+            rule = step["rule"]
+            if rule == "i":
+                sec = step["section"]
+                j1, j2 = sec["row"]
+                parts.append('{"column":%d,"min":"%s","rule":"i","section":%s}' % (
+                    step["column"], step["min"],
+                    _section_text(j1, j2, sec["start"], sec["end"])))
+                continue
+            if rule not in ("ii", "iii"):
+                raise MalformedCertificate(f"unknown rule {rule!r}")
+            secs = ",".join([_section_text(*sec["row"], sec["start"], sec["end"])
+                             for sec in step["sections"]])
+            if rule == "ii":
+                parts.append('{"column":%d,"rule":"ii","sections":[%s]}'
+                             % (step["column"], secs))
+            else:
+                parts.append('{"end":%d,"rule":"iii","sections":[%s],"start":%d}'
+                             % (step["end"], secs, step["start"]))
+        return '{"steps":[%s],"table":%s,"version":%d,"w":%s}' % (
+            ",".join(parts), json.dumps(self.table_hash), self.version,
+            self.w.json_text)
+
     @classmethod
     def from_json(cls, obj: dict) -> "DropCertificate":
         try:
             if not isinstance(obj["steps"], list):
                 raise TypeError("steps must be a list")
+            if type(obj["version"]) is not int:
+                raise TypeError("version must be an int")
             return cls(
                 table_hash=obj["table"],
                 w=TwistVector.from_json(obj["w"]),
@@ -430,44 +481,6 @@ def drop_all(ctx: DropContext) -> DropResult:
     return DropResult(False, None, remaining, search_truncated=truncated)
 
 
-def _section_key(ref) -> tuple:
-    """The `(row, start, end)` key of one section named in a step."""
-    row, start, end = ref["row"], ref["start"], ref["end"]
-    if not (type(row) is list and len(row) == 2 and type(row[0]) is int
-            and type(row[1]) is int and type(start) is int
-            and type(end) is int):
-        raise MalformedCertificate(f"bad section {ref!r}")
-    return (row[0], row[1]), start, end
-
-
-def _parse_step(ctx: DropContext, step) -> tuple:
-    """(rule, where, side, section keys in the step's order) of one step.
-
-    `where` is None when the step names a column or block outside the chain
-    or a block that rule (iii) does not consider.
-    """
-    try:
-        rule = step["rule"]
-        if rule == "i":
-            place, side, refs = (step["column"],), step["min"], [step["section"]]
-        elif rule == "ii":
-            place, side, refs = (step["column"],), None, step["sections"]
-        elif rule == "iii":
-            place, side, refs = (step["start"], step["end"]), None, step["sections"]
-        else:
-            raise MalformedCertificate(f"unknown rule {rule!r}")
-        if set(map(type, place)) != {int}:
-            raise MalformedCertificate(f"bad place in step {step!r}")
-        keys = [_section_key(o) for o in refs]
-    except (KeyError, TypeError) as err:
-        raise MalformedCertificate(f"bad step {step!r}: {err}") from err
-    if rule == "iii":
-        where = (place[0] - 1, place[1] - 1)
-        return rule, where if where in ctx.reach else None, side, keys
-    where = place[0] - 1
-    return rule, where if 0 <= where < ctx.n else None, side, keys
-
-
 def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
     """Re-run a certificate step by step against the drop rules.
 
@@ -476,25 +489,59 @@ def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
     moment (same side, same set of sections), and the final state is empty.
     A step's sections are compared as a mask: a key the context does not
     hold, or one named twice, rejects the step.  Raises MalformedCertificate
-    for a step that cannot be read.
+    for a version other than the int CERTIFICATE_VERSION, or for a step that
+    cannot be read: every field of a step is read, and checked, before the
+    step is judged.
     """
-    if cert.version != CERTIFICATE_VERSION:
-        raise MalformedCertificate(f"unsupported version {cert.version}")
+    version = cert.version
+    if type(version) is not int or version != CERTIFICATE_VERSION:
+        raise MalformedCertificate(f"unsupported version {version!r}")
     if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
         return False
     bit_of = {key: 1 << i for i, key in enumerate(ctx.sections)}
+    n, reach = ctx.n, ctx.reach
     alive = (1 << len(ctx.sections)) - 1
     for step in cert.steps:
-        rule, where, side, keys = _parse_step(ctx, step)
-        if where is None:
-            return False
-        mask = 0
-        for key in keys:
-            bit = bit_of.get(key, 0)
-            if mask & bit or not bit:
+        try:
+            rule = step["rule"]
+            if rule == "i":
+                x, side, refs = step["column"], step["min"], (step["section"],)
+                placed = type(x) is int
+            elif rule == "ii":
+                x, side, refs = step["column"], None, step["sections"]
+                placed = type(x) is int
+            elif rule == "iii":
+                u, v, side, refs = step["start"], step["end"], None, step["sections"]
+                placed = type(u) is int and type(v) is int
+            else:
+                raise MalformedCertificate(f"unknown rule {rule!r}")
+            if not placed:
+                raise MalformedCertificate(f"bad place in step {step!r}")
+            # every section is read before a missing or repeated one rejects
+            # the step, so a malformed section later in the step still raises
+            mask = 0
+            held = True
+            for ref in refs:
+                row, start, end = ref["row"], ref["start"], ref["end"]
+                if not (type(row) is list and len(row) == 2
+                        and type(row[0]) is int and type(row[1]) is int
+                        and type(start) is int and type(end) is int):
+                    raise MalformedCertificate(f"bad section {ref!r}")
+                bit = bit_of.get(((row[0], row[1]), start, end), 0)
+                if mask & bit or not bit:
+                    held = False
+                mask |= bit
+        except (KeyError, TypeError) as err:
+            raise MalformedCertificate(f"bad step {step!r}: {err}") from err
+        if rule == "iii":
+            where = (u - 1, v - 1)
+            if where not in reach:
                 return False
-            mask |= bit
-        if _find(ctx, alive, rule, where) != (side, mask):
+        elif 1 <= x <= n:
+            where = x - 1
+        else:
+            return False
+        if not held or _find(ctx, alive, rule, where) != (side, mask):
             return False
         alive &= ~mask
     return alive == 0

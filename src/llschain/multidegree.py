@@ -14,6 +14,7 @@ relocates single 3s inside their flexibility windows and toward swap columns.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .chain import ChainCurve
@@ -51,6 +52,11 @@ class TwistVector:
 
     def to_json(self) -> dict:
         return {"D": self.D, "c": list(self.c)}
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """:meth:`to_json` as sorted compact JSON, built once per vector."""
+        return '{"D":%d,"c":[%s]}' % (self.D, ",".join(map(str, self.c)))
 
     @classmethod
     def from_json(cls, obj: dict) -> "TwistVector":

@@ -610,6 +610,17 @@ class DegeneracyClass:
             out["rows"] = list(self.rows)
         return out
 
+    @cached_property
+    def json_text(self) -> str:
+        """:meth:`to_json` as sorted compact JSON, built once per object."""
+        parts = ['"%s":%d' % (key, v) for key, v in (
+            ("i0", self.i0), ("i1", self.i1), ("j0", self.j0), ("j1", self.j1))
+            if v is not None]
+        parts.append('"kind":' + json.dumps(self.kind))
+        if self.rows is not None:
+            parts.append('"rows":[%s]' % ",".join(map(str, self.rows)))
+        return "{%s}" % ",".join(parts)
+
 
 def classify_degeneracy(table: VanishingTable) -> DegeneracyClass:
     """Sort a table with at most two swaps into the two-swap taxonomy.

@@ -25,6 +25,15 @@ the same sequence, so rerunning the identical command after a stop or a
 hard kill finishes exactly the uninterrupted run.  The report aggregates
 per-class counts and the structural invariant checks (spanning bound, swap
 bound, disconnection bound) observed along the way.
+
+A verdict line is ``json.dumps(verdict.to_json(c), sort_keys=True,
+separators=(",", ":"))``, but ``Verdict.to_line`` writes it without
+building that dict: it spells the keys out in sorted order, formats ints
+with ``%d``, takes the class and ``w`` texts cached on their frozen
+objects, the certificate text from ``DropCertificate.to_text`` (whose
+section fragments are cached), and sends the free strings (table hash,
+side, violations, diagnostics) through ``json.dumps``.  ``to_json`` stays the
+structural form, and the tests hold ``to_line`` equal to it.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ _FAILURE_EXAMPLES = 100
 _VIOLATION_EXAMPLES = 20
 # tables per worker task, and per checkpoint
 _CHUNK_SIZE = 2000
+# json.dumps separators of a verdict line
+_COMPACT = (",", ":")
 
 
 @dataclass
@@ -105,6 +116,35 @@ class Verdict:
         elif self.certificate is not None:
             out["certificate_steps"] = len(self.certificate.steps)
         return out
+
+    def to_line(self, with_certificate: bool = False) -> str:
+        """The JSONL line of :meth:`to_json`, that is
+        ``json.dumps(self.to_json(with_certificate), sort_keys=True,
+        separators=(",", ":"))``, spelled out key by key in sorted order."""
+        cert = self.certificate
+        parts = []
+        if cert is not None:
+            parts.append('"certificate":' + cert.to_text() if with_certificate
+                         else '"certificate_steps":%d' % len(cert.steps))
+        parts.append('"class":' + self.degeneracy.json_text)
+        if self.diagnostics:
+            parts.append('"diagnostics":' + json.dumps(list(self.diagnostics),
+                                                       separators=_COMPACT))
+        if self.index is not None:
+            parts.append('"index":%d' % self.index)
+        if self.left_weighted_required:
+            parts.append('"left_weighted":[%s]' % ",".join(
+                map(str, self.left_weighted_min or ())))
+        parts.append('"pass":%s,"rho_total":%d,"side":%s,"table":%s,"tried":%d' % (
+            "true" if self.passing else "false", self.rho_total,
+            json.dumps(self.side_condition), json.dumps(self.table_hash),
+            self.candidates_tried))
+        if self.invariant_violations:
+            parts.append('"violations":' + json.dumps(
+                list(self.invariant_violations), separators=_COMPACT))
+        if self.w is not None:
+            parts.append('"w":' + self.w.json_text)
+        return "{%s}" % ",".join(parts)
 
 
 def _cycle1_side(klass: DegeneracyClass, ctx: DropContext) -> str | None:
@@ -321,8 +361,7 @@ def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
     counters = _new_counters()
     for idx, table in items:
         verdict = verify_table(table, index=idx)
-        record = verdict.to_json(with_certificate=emit_certs)
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
+        lines.append(verdict.to_line(emit_certs))
         kind = verdict.degeneracy.kind
         counters["classes"][kind] = counters["classes"].get(kind, 0) + 1
         side = verdict.side_condition

@@ -1,9 +1,12 @@
+import copy
+import dataclasses
 import functools
 import json
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from llschain import (
@@ -22,6 +25,7 @@ from llschain import (
     verify_table,
 )
 from llschain.drop import (
+    CERTIFICATE_VERSION,
     DropContext,
     _all_actions,
     _find,
@@ -182,6 +186,12 @@ def test_malformed_certificate_raises():
         cert = DropCertificate(g22_example().table_hash(), w, (step,))
         with pytest.raises(MalformedCertificate):
             replay_certificate(cert, ctx)
+    # the certificate text is written for the three rules only
+    for rule in ("iv", None):
+        cert = DropCertificate(g22_example().table_hash(), w,
+                               ({"rule": rule, "start": 5, "end": 6},))
+        with pytest.raises(MalformedCertificate):
+            cert.to_text()
 
 
 def _replay_mutated(ctx, cert, k, step):
@@ -281,6 +291,21 @@ def test_search_certificates_replay():
         assert replay_certificate(DropCertificate(table.hash, w, tuple(steps)), ctx)
         lengths.append(len(steps))
     assert lengths[0] == 23
+
+
+def test_certificate_version_must_be_the_int_version():
+    # True == 1 == 1.0, so only the type tells these versions apart; the
+    # certificate text would write 1 where JSON has true or 1.0
+    _, w, ctx = g22_setup()
+    cert = drop_all(ctx).certificate
+    assert replay_certificate(DropCertificate.from_json(cert.to_json()), ctx)
+    for version in (True, 1.0):
+        with pytest.raises(MalformedCertificate):
+            DropCertificate.from_json(dict(cert.to_json(), version=version))
+        with pytest.raises(MalformedCertificate):
+            replay_certificate(dataclasses.replace(cert, version=version), ctx)
+    with pytest.raises(MalformedCertificate):
+        replay_certificate(dataclasses.replace(cert, version=2), ctx)
 
 
 def test_certificate_json_round_trip():
@@ -422,6 +447,181 @@ def _reference_greedy(ctx, alive, steps):
     return alive
 
 
+def _reference_section_key(ref) -> tuple:
+    """The `(row, start, end)` key of one section named in a step."""
+    row, start, end = ref["row"], ref["start"], ref["end"]
+    if not (type(row) is list and len(row) == 2 and type(row[0]) is int
+            and type(row[1]) is int and type(start) is int
+            and type(end) is int):
+        raise MalformedCertificate(f"bad section {ref!r}")
+    return (row[0], row[1]), start, end
+
+
+def _reference_parse_step(ctx, step) -> tuple:
+    """(rule, where, side, section keys in the step's order) of one step;
+    `where` is None for a place outside the chain or a block rule (iii)
+    does not consider."""
+    try:
+        rule = step["rule"]
+        if rule == "i":
+            place, side, refs = (step["column"],), step["min"], [step["section"]]
+        elif rule == "ii":
+            place, side, refs = (step["column"],), None, step["sections"]
+        elif rule == "iii":
+            place, side, refs = (step["start"], step["end"]), None, step["sections"]
+        else:
+            raise MalformedCertificate(f"unknown rule {rule!r}")
+        if set(map(type, place)) != {int}:
+            raise MalformedCertificate(f"bad place in step {step!r}")
+        keys = [_reference_section_key(o) for o in refs]
+    except (KeyError, TypeError) as err:
+        raise MalformedCertificate(f"bad step {step!r}: {err}") from err
+    if rule == "iii":
+        where = (place[0] - 1, place[1] - 1)
+        return rule, where if where in ctx.reach else None, side, keys
+    where = place[0] - 1
+    return rule, where if 0 <= where < ctx.n else None, side, keys
+
+
+def _reference_replay(cert, ctx):
+    """Replay that parses each step whole into (rule, where, side, keys)
+    and then judges it: the reader `replay_certificate` replaced."""
+    if type(cert.version) is not int or cert.version != CERTIFICATE_VERSION:
+        raise MalformedCertificate(f"unsupported version {cert.version!r}")
+    if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
+        return False
+    bit_of = {key: 1 << i for i, key in enumerate(ctx.sections)}
+    alive = (1 << len(ctx.sections)) - 1
+    for step in cert.steps:
+        rule, where, side, keys = _reference_parse_step(ctx, step)
+        if where is None:
+            return False
+        mask = 0
+        for key in keys:
+            bit = bit_of.get(key, 0)
+            if mask & bit or not bit:
+                return False
+            mask |= bit
+        if _find(ctx, alive, rule, where) != (side, mask):
+            return False
+        alive &= ~mask
+    return alive == 0
+
+
+def _replay_outcome(replay, cert, ctx):
+    try:
+        return replay(cert, ctx)
+    except MalformedCertificate:
+        return "malformed"
+
+
+_DELETE = object()
+# mutations after which the step still reads, so that it is judged
+_JUDGED = ("outside", "unheld", "duplicate", "reorder")
+
+
+def _mutations(step, n):
+    """Every one-field mutation of the well-formed `step`, as (kind, path,
+    value) triples: the field at `path` gets `value`, or is deleted."""
+    rule = step["rule"]
+    place = ("start", "end") if rule == "iii" else ("column",)
+    if rule == "i":
+        refs = [(("section",), step["section"])]
+    else:
+        refs = [(("sections", i), sec) for i, sec in enumerate(step["sections"])]
+    out = []
+
+    def retyped(path, value):
+        # a bool, float, str or tuple where an int or a list belongs
+        if type(value) is int:
+            new = (bool(value), float(value), str(value), (value,))
+        else:
+            new = (tuple(value), str(value), True, 1.0)
+        out.extend(("retype", path, v) for v in new)
+
+    for key in (*place, "section" if rule == "i" else "sections"):
+        retyped((key,), step[key])
+    for key in step:
+        out.append(("missing", (key,), _DELETE))
+    for other in ("i", "ii", "iii", "iv", "I", "", 1, None, ["i"]):
+        if other != rule:
+            out.append(("rule", ("rule",), other))
+    for key in place:
+        out.extend(("outside", (key,), v) for v in (0, -1, n + 1, n + 7))
+    if rule == "iii":   # blocks (u, u) and (v + 1, v) rule (iii) never considers
+        out += [("outside", ("end",), step["start"]),
+                ("outside", ("start",), step["end"] + 1)]
+    for path, sec in refs:
+        for key in ("start", "end", "row"):
+            retyped((*path, key), sec[key])
+            out.append(("missing", (*path, key), _DELETE))
+        j1, j2 = sec["row"]
+        retyped((*path, "row", 0), j1)
+        retyped((*path, "row", 1), j2)
+        out += [("row3", (*path, "row"), [j1, j2, j2]),
+                ("row3", (*path, "row"), [j1, j2, 0]),
+                ("unheld", (*path, "row"), [j2, j1] if j1 != j2 else [j1, 7])]
+        for key in ("start", "end"):
+            out.extend(("unheld", (*path, key), v)
+                       for v in (0, n + 1, sec[key] - 1, sec[key] + 1))
+    if rule == "i":   # one section only: name its neighbour instead
+        sec = step["section"]
+        out.append(("duplicate", ("section",), dict(sec, end=sec["end"] + 1)))
+    else:
+        secs = step["sections"]
+        out.extend(("duplicate", ("sections",), [*secs, sec]) for sec in secs)
+        if len(secs) > 1:
+            out.append(("reorder", ("sections",), secs[::-1]))
+    return out
+
+
+def _mutated(step, path, value):
+    """A copy of `step` with the field at `path` set to `value` or deleted."""
+    step = copy.deepcopy(step)
+    owner = step
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is _DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = copy.deepcopy(value)
+    return step
+
+
+def _replay_step_mutated(cert, k, step, ctx):
+    """(new outcome, reference outcome) of `cert` with step k replaced."""
+    steps = list(cert.steps)
+    steps[k] = step
+    mutated = DropCertificate(cert.table_hash, cert.w, tuple(steps))
+    return (_replay_outcome(replay_certificate, mutated, ctx),
+            _replay_outcome(_reference_replay, mutated, ctx))
+
+
+def test_replay_reader_matches_reference_on_every_mutation_of_g22():
+    # every one-field mutation of every step, and every judged mutation
+    # followed by a malformed last section: a step is read whole before it
+    # is judged, so a step that would be rejected still raises
+    _, w, ctx = g22_setup()
+    cert = drop_all(ctx).certificate
+    seen = Counter()
+    for k, step in enumerate(cert.steps):
+        for kind, path, value in _mutations(step, ctx.n):
+            new, ref = _replay_step_mutated(cert, k, _mutated(step, path, value), ctx)
+            assert new == ref, (k, kind, path, value)
+            seen[kind, new] += 1
+            if kind not in _JUDGED:
+                continue
+            judged = _mutated(step, path, value)
+            last = ("section",) if step["rule"] == "i" else \
+                ("sections", len(judged["sections"]) - 1)
+            both = _mutated(judged, (*last, "row"), [0, 1, 2])
+            new, ref = _replay_step_mutated(cert, k, both, ctx)
+            assert new == ref == "malformed", (k, kind, path, value)
+    assert {outcome for _, outcome in seen} == {True, False, "malformed"}
+    assert {kind for kind, _ in seen} == {"retype", "missing", "rule", "outside",
+                                          "row3", "unheld", "duplicate", "reorder"}
+
+
 def test_greedy_skips_only_calls_that_find_nothing():
     # same steps and the same stuck state as the greedy that skips nothing
     families = (
@@ -508,3 +708,31 @@ def test_context_masks_match_reference_at_every_candidate(table):
             == _reference_masks(table, w)
         got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
         assert got == naive_sections(tt, w)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(family_tables(), st.data())
+def test_replay_reader_matches_reference_on_mutated_steps(table, data):
+    verdict = verify_table(table)
+    assume(verdict.passing)
+    cert = verdict.certificate
+    ctx = DropContext(table, verdict.w)
+    # a rule first, so that the few rule-(ii) and rule-(iii) steps are hit
+    rule = data.draw(st.sampled_from(sorted({s["rule"] for s in cert.steps})))
+    k = data.draw(st.sampled_from(
+        [k for k, s in enumerate(cert.steps) if s["rule"] == rule]))
+    step = cert.steps[k]
+    kinds = []
+    # a second mutation of the same step, after one that leaves it readable
+    while not kinds or kinds[-1] in _JUDGED and len(kinds) < 2 \
+            and data.draw(st.booleans()):
+        # a kind first, so that the many retypings do not crowd out the rest
+        mutations = _mutations(step, ctx.n)
+        kind = data.draw(st.sampled_from(sorted({m[0] for m in mutations})))
+        _, path, value = data.draw(st.sampled_from(
+            [m for m in mutations if m[0] == kind]))
+        step = _mutated(step, path, value)
+        kinds.append(kind)
+    new, ref = _replay_step_mutated(cert, k, step, ctx)
+    event(f"{'+'.join(kinds)}: {new}")
+    assert new == ref

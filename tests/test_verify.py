@@ -1,11 +1,18 @@
 import dataclasses
+import functools
 import json
 import os
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llschain import (
+    DegeneracyClass,
+    DropCertificate,
+    DropContext,
+    TwistVector,
     degree_three_columns,
     g22_example,
     left_weighted_weights,
@@ -14,7 +21,10 @@ from llschain import (
 from llschain import table as table_module
 from llschain import verify as verify_module
 from llschain.enumeration import TableEnumerator
-from llschain.verify import FamilyConfig, verify_family
+from llschain.drop import _search
+from llschain.verify import FamilyConfig, Verdict, verify_family
+
+from test_drop import family_tables
 
 
 def test_verify_g22_example():
@@ -156,6 +166,75 @@ def test_verdict_json_shape():
     assert "certificate_steps" in record
     full = verdict.to_json(with_certificate=True)
     assert full["certificate"]["version"] == 1
+
+
+def _dumped(verdict, with_certificate):
+    return json.dumps(verdict.to_json(with_certificate), sort_keys=True,
+                      separators=(",", ":"))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(family_tables(), st.none() | st.integers(0, 10**10))
+def test_verdict_line_equals_sorted_compact_json(table, index):
+    verdict = verify_table(table, index=index)
+    for with_certificate in (False, True):
+        assert verdict.to_line(with_certificate) == _dumped(verdict, with_certificate)
+
+
+@functools.lru_cache(maxsize=None)
+def _g22_certificates():
+    """The greedy and the search certificate of the g22 example."""
+    table = g22_example()
+    verdict = verify_table(table)
+    ctx = DropContext(table, verdict.w)
+    steps, _ = _search(ctx, (1 << len(ctx.sections)) - 1)
+    search = DropCertificate(table.hash, verdict.w, tuple(steps))
+    assert search.steps != verdict.certificate.steps
+    return verdict.certificate, search
+
+
+# free text: quotes, backslashes, control and non-ASCII characters
+_TEXT = st.sampled_from(['say "no"', "back\\slash", "naïve Σ ✓", "\u2028\x00\x1f",
+                         "😀 \\\"", ""]) | st.text(max_size=12)
+
+
+@st.composite
+def hand_built_verdicts(draw):
+    """Verdicts no table produces: failing, without index, left-weighted,
+    with free-text violations and diagnostics, with a search certificate."""
+    certificate = draw(st.sampled_from((None, *_g22_certificates())))
+    opt_int = st.none() | st.integers(0, 30)
+    klass = DegeneracyClass(
+        draw(st.sampled_from(("no_swap", "single", "cycle2", "other")) | _TEXT),
+        draw(opt_int), draw(opt_int), draw(opt_int), draw(opt_int),
+        draw(st.none() | st.tuples(st.integers(0, 6), st.integers(0, 6))))
+    w = draw(st.none() | st.builds(
+        TwistVector, st.integers(0, 60),
+        st.lists(st.integers(-5, 60), max_size=23).map(tuple)))
+    return Verdict(
+        table_hash=draw(st.sampled_from((g22_example().hash,)) | _TEXT),
+        degeneracy=klass,
+        passing=draw(st.booleans()),
+        w=w,
+        certificate=certificate,
+        side_condition=draw(st.sampled_from(("none", "not_applicable", "cycle2_b"))
+                            | _TEXT),
+        left_weighted_required=draw(st.booleans()),
+        left_weighted_min=draw(st.none() | st.lists(
+            st.integers(0, 400), max_size=23).map(tuple)),
+        candidates_tried=draw(st.integers(0, 40)),
+        rho_total=draw(st.integers(0, 3)),
+        invariant_violations=tuple(draw(st.lists(_TEXT, max_size=3))),
+        diagnostics=tuple(draw(st.lists(_TEXT, max_size=3))),
+        index=draw(st.none() | st.integers(0, 10**10)),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(hand_built_verdicts())
+def test_hand_built_verdict_line_equals_sorted_compact_json(verdict):
+    for with_certificate in (False, True):
+        assert verdict.to_line(with_certificate) == _dumped(verdict, with_certificate)
 
 
 def test_family_run_and_report(tmp_path, monkeypatch):
