@@ -20,18 +20,60 @@ critical when additionally the minima are not both one less than the
 doubled box-adding row.
 
 Dropping everything certifies linear independence of the sections.  The
-engine runs a deterministic greedy schedule (left and right rule-(i)
-sweeps, then rule (ii), then rule-(iii) blocks, to a fixpoint) and falls
-back to a bounded exhaustive search over rule orders if the greedy schedule
-stalls.  Every drop is recorded in a replayable certificate.
+engine runs one deterministic greedy schedule (left and right rule-(i)
+sweeps, then rule (ii), then rule-(iii) blocks with live sections at both
+endpoints, then the liberal rule (iii), to a fixpoint) and records every
+drop in a replayable certificate.  Whether it empties a state does not
+depend on that order, by the following lemma.
+
+Monotonicity lemma.  Let every row of every column sum to at most d
+(a_j + b_j <= d, which `validate_table` checks).  If `_find` allows a drop
+of mask M by rule R at place P in state S, then `_find` by rule R at P
+(rule iii in its liberal form) is not None in every state S' contained in
+S that meets M.
+
+Proof.  Rule (i): the section of M is live in S', and a unique minimal a-
+(or b-) value among the live sections at the column stays unique among
+fewer, so rule (i) finds a drop there, on side a if not on side b.
+Rule (ii): the live sections at the column in S' are a nonempty subset of
+M: at most two, none involving an exceptional row.  Rule (iii) on block
+(u, v): the live sections at each endpoint and those crossing each
+adjacent pair are subsets of those in S, so each count stays at most
+three; the drop, the sections of S' meeting the block, is the part of M
+still live in S', so it is nonempty, and none of it ends at u (starts at
+v) if none of M did.  The minimal
+a- and b-values over fewer sections can only rise, so an endpoint
+semicritical in S stays semicritical in S' (the exceptional-pair clause
+reads fewer sections too).  Criticality is the one clause that is not
+visibly monotone: the minima rising to exactly the box-adding row's sums
+minus one makes an endpoint only semicritical.  Suppose an endpoint x is
+critical in S and only semicritical in S'.  A column without live sections
+is critical, so S' has live sections at x, and with p the pair (dj, dj) of
+the box-adding row dj its minima are mina' = ta[p] - 1 and
+minb' = tb[p] - 1, so mina' + minb' = 2 (a_dj + b_dj) - 2 <= 2d - 2.  As x
+is semicritical in S, mina + minb >= 2d - 2, and mina <= mina',
+minb <= minb'; so mina = mina', minb = minb', and x was only semicritical
+in S, a contradiction.  The critical endpoint that armed the drop in S
+stays critical, and rule (iii) finds a drop at (u, v) in S'.  (At a
+box-adding column of a valid table the row sum a_dj + b_dj is exactly d.)
+
+Order independence.  The greedy stops only in a state T closed under all
+three rules, rule (iii) in its liberal form.  Suppose an order of drops
+M_1, ..., M_k empties the state S_0 the greedy started from, and T is not
+empty.  Let M_j be the first to meet T.  T misses M_1, ..., M_{j-1}, so T
+lies in S_{j-1}, the state in which M_j was allowed, and by the lemma
+M_j's rule finds a drop at M_j's place in T: a contradiction.  So the
+greedy empties every state some order empties, and its failure is the
+verdict of every order.  `tests/test_drop.py` checks the lemma as a
+property on validated tables and the greedy against an exhaustive search
+over rule orders.
 
 One `DropContext(table, w)` per candidate holds everything the rules read,
 and it sees the sections one way only: as bitmasks, bit i standing for
 `sections[i]`, the `(row, start, end)` key a step names it by.  A state is
-the mask of the live sections.  The greedy schedule, the search and replay
-all ask one primitive, `_find`, which drop a rule allows at a column or
-block in a given state; it answers (side, mask), the mask of the sections
-to drop.  `_step` alone writes certificate steps.  A certificate is bound
+the mask of the live sections.  The greedy schedule and replay both ask
+one primitive, `_find`, which drop a rule allows at a column or block in a
+given state; it answers (side, mask), the mask of the sections to drop.  `_step` alone writes certificate steps.  A certificate is bound
 to the hash of its table and to `w`, and replay checks that binding against
 the context it replays on; it accepts a certificate iff each step is
 exactly the drop its rule allows at that place at that moment (same rule,
@@ -60,8 +102,8 @@ sections meeting it.  Its answer is a function of that masked state.  The
 greedy schedule records, per place, the masked state at which `_find` last
 found nothing there, and skips the place while that state is unchanged:
 the skipped call would find nothing again, so the schedule, and with it
-every certificate, is the one the greedy without skips produces.  Search
-and replay keep no such record and ask `_find` at every place they visit.
+every certificate, is the one the greedy without skips produces.  Replay
+keeps no such record and asks `_find` at every step.
 Where a rule needs section indices (the minima of rule i, the rows of rule
 ii, the JSON of a step) it walks the set bits in ascending order, so a
 step lists its sections in index order.
@@ -78,8 +120,6 @@ from .table import VanishingTable, pair_list
 from .tensor import PotentialSection, pair_positions, section_runs
 
 CERTIFICATE_VERSION = 1
-
-_SEARCH_MAX_NODES = 2_000
 
 
 class MalformedCertificate(ValueError):
@@ -341,48 +381,6 @@ def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
     return alive
 
 
-def _all_actions(ctx: DropContext, alive: int):
-    """Every drop applicable in state `alive`, as (step, mask) pairs."""
-    places = ([("i", x) for x in range(ctx.n)] + [("ii", x) for x in range(ctx.n)]
-              + [("iii", b) for b in ctx.blocks])
-    for rule, where in places:
-        found = _find(ctx, alive, rule, where)
-        if found is not None:
-            yield _step(ctx, rule, where, *found), found[1]
-
-
-def _search(ctx: DropContext, alive: int,
-            max_nodes: int = _SEARCH_MAX_NODES) -> tuple[list[dict] | None, bool]:
-    """Exhaustive bounded search over rule orders, from the given state.
-
-    Returns (steps, truncated); steps is None when no emptying order was
-    found within the node budget.  Every drop empties at least one live
-    section, so no order is longer than the number of sections.
-    """
-    dead: set[int] = set()
-    nodes = 0
-    truncated = False
-
-    def go(state: int) -> list[dict] | None:
-        nonlocal nodes, truncated
-        if state == 0:
-            return []
-        if state in dead:
-            return None
-        nodes += 1
-        if nodes > max_nodes:
-            truncated = True
-            return None
-        for step, mask in _all_actions(ctx, state):
-            rest = go(state & ~mask)
-            if rest is not None:
-                return [step] + rest
-        dead.add(state)
-        return None
-
-    return go(alive), truncated
-
-
 @functools.lru_cache(maxsize=8192)
 def _section_text(j1: int, j2: int, start: int, end: int) -> str:
     """The sorted compact JSON of a section.  A family of n columns has at
@@ -461,24 +459,17 @@ class DropResult:
     success: bool
     certificate: DropCertificate | None
     remaining: list[PotentialSection] = field(default_factory=list)
-    search_truncated: bool = False
 
 
 def drop_all(ctx: DropContext) -> DropResult:
-    """Try to drop every section of `ctx`, by the greedy schedule and then a
-    bounded search; failure is a value, not an error."""
-    full = (1 << len(ctx.sections)) - 1
+    """Try to drop every section of `ctx` by the greedy schedule; failure is
+    a value, not an error.  By the monotonicity lemma (module docstring) no
+    other rule order empties a state the greedy leaves stuck."""
     steps: list[dict] = []
-    stuck = _greedy(ctx, full, steps)
-    if stuck == 0:
-        cert = DropCertificate(ctx.table_hash, ctx.w, tuple(steps))
-        return DropResult(True, cert)
-    found, truncated = _search(ctx, full)
-    if found is not None:
-        cert = DropCertificate(ctx.table_hash, ctx.w, tuple(found))
-        return DropResult(True, cert)
-    remaining = [ctx.sections[i] for i in _bits(stuck)]
-    return DropResult(False, None, remaining, search_truncated=truncated)
+    stuck = _greedy(ctx, (1 << len(ctx.sections)) - 1, steps)
+    if stuck:
+        return DropResult(False, None, [ctx.sections[i] for i in _bits(stuck)])
+    return DropResult(True, DropCertificate(ctx.table_hash, ctx.w, tuple(steps)))
 
 
 def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:

@@ -325,7 +325,7 @@ class TableEnumerator:
         for idx in indices:
             if prev is not None and idx <= prev:
                 raise EnumerationError("indices must be strictly ascending")
-            if idx >= total:
+            if not 0 <= idx < total:
                 raise EnumerationError(f"index {idx} out of range ({total} tables)")
             # the first table of the walk from idx: one bisection per column
             yield (idx, next(self._walk(0, root, idx, [], [])))

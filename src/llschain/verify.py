@@ -6,7 +6,11 @@ the two 3-cycle shapes, the extra side condition holds:
 
   cycle1:  the tensor row (j0-1, j0), pairing the lower rows of the first
            swap (j0, j0+1) and the second (j0-1, j0+1), has a unique
-           potential section whose support avoids both swap columns;
+           potential section whose support avoids both swap columns.
+           The row matters: two-swap index 29,823,789 of (23,6,26), a
+           seed-7 sample, passes at its default multidegree, but read at
+           (j0, j0+1) the condition fails at every candidate whose
+           sections all drop (pinned in tests/test_verify.py);
   cycle2:  one of three alternatives on the doubled shared row: (a) it has
            no potential sections on both sides of the swap columns, or its
            doubled value meets the twist boundary at offset (b) one, or
@@ -225,9 +229,7 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
         result = drop_all(context)
         if not result.success:
             diagnostics.append(
-                f"candidate {pos}: {len(result.remaining)} sections stuck"
-                + (" (search truncated)" if result.search_truncated else "")
-            )
+                f"candidate {pos}: {len(result.remaining)} sections stuck")
             continue
         if klass.kind == "cycle1":
             side = _cycle1_side(klass, context)

@@ -76,6 +76,26 @@ def test_cli_drop_rejects_multidegree_that_is_not_unimaginative(capsys):
     assert "[" in capsys.readouterr().out
 
 
+def test_cli_drop_stuck_exits_one(capsys):
+    # 3s at columns 17-22: the greedy, and so every rule order, leaves nine
+    # sections of columns 17-19
+    w = ('{"D":50,"c":[2,4,6,8,10,12,14,16,18,20,22,24,26,28,30,32,35,38,41,'
+         '44,47]}')
+    assert main(["drop", "--example", "--w", w]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "stuck with 9 sections:",
+        "  row (2, 2) columns 18..19",
+        "  row (1, 4) columns 17..17",
+        "  row (2, 3) columns 17..18",
+        "  row (0, 6) columns 17..18",
+        "  row (1, 5) columns 17..18",
+        "  row (2, 4) columns 19..19",
+        "  row (1, 6) columns 18..19",
+        "  row (3, 4) columns 18..18",
+        "  row (3, 5) columns 18..19",
+    ]
+
+
 def test_cli_render_latex(capsys):
     assert main(["render", "--example", "--format", "latex", "--tensor"]) == 0
     out = capsys.readouterr().out

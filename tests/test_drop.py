@@ -22,15 +22,15 @@ from llschain import (
     lambda_sequence,
     pair_list,
     replay_certificate,
+    validate_table,
     verify_table,
 )
 from llschain.drop import (
     CERTIFICATE_VERSION,
     DropContext,
-    _all_actions,
+    _bits,
     _find,
     _greedy,
-    _search,
     _semicritical,
     _step,
 )
@@ -51,13 +51,49 @@ def mask_of(ctx, secs):
     return sum(1 << ctx.sections.index(s) for s in secs)
 
 
-def drop_from(ctx, alive, max_nodes):
+def drop_from(ctx, alive):
     """`drop_all` started from the state `alive` instead of the full one:
-    (whether some order empties it, the greedy's stuck state)."""
+    (whether the greedy empties it, the greedy's stuck state)."""
     stuck = _greedy(ctx, alive, [])
-    if stuck and max_nodes > 0 and _search(ctx, alive, max_nodes)[0] is not None:
-        return True, stuck
     return stuck == 0, stuck
+
+
+def _all_actions(ctx, alive):
+    """Every drop applicable in state `alive`, rule (iii) in its liberal
+    form, as (rule, where, side, mask) in place order: rule (i) at each
+    column, rule (ii) at each column, rule (iii) on each block."""
+    places = ([("i", x) for x in range(ctx.n)] + [("ii", x) for x in range(ctx.n)]
+              + [("iii", b) for b in ctx.blocks])
+    for rule, where in places:
+        found = _find(ctx, alive, rule, where)
+        if found is not None:
+            yield (rule, where, *found)
+
+
+def exhaustive_order_search(ctx, alive, node_cap=400_000):
+    """Search over every rule application order from the state `alive`,
+    each state's drops tried in `_all_actions` order: the steps of the
+    first order that empties it, or None if no order does."""
+    dead = set()
+    nodes = 0
+
+    def go(state):
+        nonlocal nodes
+        if state == 0:
+            return []
+        if state in dead:
+            return None
+        nodes += 1
+        if nodes > node_cap:
+            raise RuntimeError("order search exceeded node cap")
+        for rule, where, side, mask in _all_actions(ctx, state):
+            rest = go(state & ~mask)
+            if rest is not None:
+                return [_step(ctx, rule, where, side, mask), *rest]
+        dead.add(state)
+        return None
+
+    return go(alive)
 
 
 def test_drop_g22_blocks_exact():
@@ -278,19 +314,22 @@ def test_replay_binds_certificate_to_its_table():
 
 
 def test_search_certificates_replay():
-    # the greedy schedule never stalls where search succeeds, so the
-    # search's certificates are checked here, from the full state
+    # replay accepts any order of allowed drops, not only the greedy's: the
+    # first order the exhaustive search finds, from the full state
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     samples = [t for _, t in enum.iter_indices(enum.sample_indices(20, seed=12345))]
-    lengths = []
+    lengths, greedy_orders = [], 0
     for table in [g22_example()] + samples:
-        w = verify_table(table).w
-        ctx = DropContext(table, w)
-        steps, truncated = _search(ctx, (1 << len(ctx.sections)) - 1)
-        assert steps is not None and not truncated
-        assert replay_certificate(DropCertificate(table.hash, w, tuple(steps)), ctx)
+        verdict = verify_table(table)
+        ctx = DropContext(table, verdict.w)
+        steps = exhaustive_order_search(ctx, (1 << len(ctx.sections)) - 1)
+        assert steps is not None
+        assert replay_certificate(DropCertificate(table.hash, verdict.w,
+                                                  tuple(steps)), ctx)
         lengths.append(len(steps))
+        greedy_orders += tuple(steps) == verdict.certificate.steps
     assert lengths[0] == 23
+    assert greedy_orders == 0
 
 
 def test_certificate_version_must_be_the_int_version():
@@ -314,27 +353,6 @@ def test_certificate_json_round_trip():
     again = DropCertificate.from_json(json.loads(json.dumps(cert.to_json())))
     assert again == cert
     assert replay_certificate(again, ctx)
-
-
-def exhaustive_order_verdict(ctx, alive, node_cap=400_000):
-    """Search over every rule application order from the state `alive`;
-    True iff some order empties it."""
-    seen = set()
-    stack = [alive]
-    nodes = 0
-    while stack:
-        state = stack.pop()
-        if state == 0:
-            return True
-        if state in seen:
-            continue
-        seen.add(state)
-        nodes += 1
-        if nodes > node_cap:
-            raise RuntimeError("order search exceeded node cap")
-        for _, mask in _all_actions(ctx, state):
-            stack.append(state & ~mask)
-    return False
 
 
 def small_drop_instances(n_success=20, n_failure=6):
@@ -371,8 +389,8 @@ def small_drop_instances(n_success=20, n_failure=6):
 def test_verdict_matches_exhaustive_order_search():
     verdicts = {True: 0, False: 0}
     for ctx, alive in small_drop_instances():
-        success, _ = drop_from(ctx, alive, max_nodes=200_000)
-        exhaustive = exhaustive_order_verdict(ctx, alive)
+        success, _ = drop_from(ctx, alive)
+        exhaustive = exhaustive_order_search(ctx, alive) is not None
         assert success == exhaustive, ctx.table_hash
         verdicts[success] += 1
     assert verdicts[True] >= 10
@@ -383,7 +401,7 @@ def test_failure_is_closed_state():
     # a failing drop returns a stuck state on which no rule applies
     found = 0
     for ctx, alive in small_drop_instances(n_success=0, n_failure=4):
-        success, stuck = drop_from(ctx, alive, max_nodes=50_000)
+        success, stuck = drop_from(ctx, alive)
         if success:
             continue
         assert stuck
@@ -736,3 +754,58 @@ def test_replay_reader_matches_reference_on_mutated_steps(table, data):
     new, ref = _replay_step_mutated(cert, k, step, ctx)
     event(f"{'+'.join(kinds)}: {new}")
     assert new == ref
+
+
+_SMALL_FAMILY = (9, 3, 10, None, "all")
+
+
+@st.composite
+def drop_instances(draw):
+    """A validated table of the three r = 6 families or of (9,3,10), with a
+    candidate multidegree (r = 6) or a random placement of its 3s."""
+    enum = _enumerator(draw(st.sampled_from((*_FAMILIES, _SMALL_FAMILY))))
+    [(_, table)] = enum.iter_indices([draw(st.integers(0, enum.total() - 1))])
+    validate_table(table)
+    genus1 = [i + 1 for i, g in enumerate(table.chain.genera) if g == 1]
+    if table.r == 6 and draw(st.booleans()):
+        candidates = list(iter_candidate_multidegrees(table))[:4]
+        w = draw(st.sampled_from(candidates))
+    else:
+        k = 2 * table.d - 2 * len(genus1)
+        threes = draw(st.lists(st.sampled_from(genus1), min_size=k, max_size=k,
+                               unique=True))
+        w = twist_from_threes(table.chain, table.d, sorted(threes))
+    return DropContext(table, w)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(drop_instances(), st.integers(0, 2**32 - 1))
+def test_drop_rules_are_monotone(ctx, seed):
+    # the lemma of the drop module's docstring: a drop of mask M allowed in
+    # state S leaves its rule finding a drop at its place in every state
+    # S' inside S that meets M, and no column's semicriticality level falls
+    # from S to S'.  S is reached from the full state by random drops.
+    rng = random.Random(seed)
+    alive = (1 << len(ctx.sections)) - 1
+    actions = list(_all_actions(ctx, alive))
+    for _ in range(rng.randrange(len(ctx.sections) + 1)):
+        state = alive & ~rng.choice(actions)[3]
+        nxt = list(_all_actions(ctx, state))
+        if not nxt:
+            break
+        alive, actions = state, nxt
+    assume(actions)
+    levels = [_semicritical(ctx, alive, x) for x in range(ctx.n)]
+    for rule, where, _, mask in actions:
+        keep = rng.random()
+        sub = 1 << rng.choice(_bits(mask))
+        for i in _bits(alive):
+            if rng.random() < keep:
+                sub |= 1 << i
+        event(f"rule {rule}")
+        assert _find(ctx, sub, rule, where) is not None, (rule, where)
+        for x in range(ctx.n):
+            level = _semicritical(ctx, sub, x)
+            assert level >= levels[x], (x, levels[x], level)
+            if levels[x] == 2 and level == 2 and sub & ctx.cover[x]:
+                event("live critical column stays critical")

@@ -248,6 +248,10 @@ def test_enumerate_guards():
         list(enum.iter_indices([total]))
     with pytest.raises(EnumerationError):
         list(enum.iter_indices([0, total + 2]))
+    for indices in ([-1], [-5, 3]):
+        with pytest.raises(EnumerationError,
+                           match=rf"index {indices[0]} out of range \({total} tables\)"):
+            list(enum.iter_indices(indices))
     with pytest.raises(EnumerationError, match="non-negative"):
         enum.sample_indices(-1, seed=0)
     # bad arguments are refused when the stream is made, not when it is read

@@ -14,6 +14,7 @@ from llschain import (
     DropContext,
     TwistVector,
     degree_three_columns,
+    drop_all,
     g22_example,
     left_weighted_weights,
     verify_table,
@@ -21,10 +22,10 @@ from llschain import (
 from llschain import table as table_module
 from llschain import verify as verify_module
 from llschain.enumeration import TableEnumerator
-from llschain.drop import _search
+from llschain.multidegree import iter_candidate_multidegrees
 from llschain.verify import FamilyConfig, Verdict, verify_family
 
-from test_drop import family_tables
+from test_drop import exhaustive_order_search, family_tables
 
 
 def test_verify_g22_example():
@@ -187,7 +188,7 @@ def _g22_certificates():
     table = g22_example()
     verdict = verify_table(table)
     ctx = DropContext(table, verdict.w)
-    steps, _ = _search(ctx, (1 << len(ctx.sections)) - 1)
+    steps = exhaustive_order_search(ctx, (1 << len(ctx.sections)) - 1)
     search = DropCertificate(table.hash, verdict.w, tuple(steps))
     assert search.steps != verdict.certificate.steps
     return verdict.certificate, search
@@ -431,7 +432,6 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
         default_multidegree,
         extract_potential_sections,
     )
-    from llschain.multidegree import iter_candidate_multidegrees
 
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     [(_, table)] = list(enum.iter_range(3_876_400_372, 1))
@@ -455,6 +455,31 @@ def test_cycle1_disconnected_support_gets_swap_candidate():
         s for s in extract_potential_sections(table, verdict.w) if s.row == row
     ]
     assert len(final_secs) == 1
+
+
+def test_cycle1_side_reads_the_lower_shared_row():
+    # the cycle1 side condition reads the tensor row (j0 - 1, j0); read at
+    # (j0, j0 + 1) instead, this seed-7 two-swap sample of (23,6,26) fails
+    # at every candidate whose sections all drop
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    [(_, table)] = enum.iter_indices([29_823_789])
+    verdict = verify_table(table)
+    klass = verdict.degeneracy
+    assert (klass.kind, klass.j0, klass.i0, klass.i1) == ("cycle1", 4, 10, 17)
+    assert verdict.passing and verdict.candidates_tried == 1
+    assert verdict.side_condition == "cycle1_unique_avoiding"
+
+    def unique_avoiding(ctx, row):
+        secs = [s for s in ctx.sections if s.row == row]
+        return len(secs) == 1 and not secs[0].covers(klass.i0) \
+            and not secs[0].covers(klass.i1)
+
+    j0 = klass.j0
+    assert unique_avoiding(DropContext(table, verdict.w), (j0 - 1, j0))
+    contexts = [DropContext(table, w) for w in iter_candidate_multidegrees(table)]
+    dropped = [ctx for ctx in contexts if drop_all(ctx).success]
+    assert dropped
+    assert not any(unique_avoiding(ctx, (j0, j0 + 1)) for ctx in dropped)
 
 
 def test_candidate_fallback_actually_used():
