@@ -73,7 +73,7 @@ def _cmd_enumerate(args) -> int:
     out = sys.stdout if not args.out else open(args.out, "w", encoding="utf-8")
     try:
         batch = []
-        for _, table in enum.iter_slice(indices):
+        for _, table in enum.iter_indices(indices):
             record = json.dumps(table.to_json(), sort_keys=True,
                                 separators=(",", ":"))
             if args.format == "jsonl":

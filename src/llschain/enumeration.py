@@ -24,11 +24,11 @@ Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  This powers uniform
 deterministic sampling (unranking seeded random indices) and the stratified
 range streams used for the big verification runs.  ``run_indices`` is the
 one map from a run's mode, sample size, seed and limit to the indices it
-covers (a ``range`` or a sorted list), and ``iter_slice`` streams any slice
-of it: a range by one walk, a list index by index.  A walk keeps each
-column's a- and b-tuples on two stacks, built once per node entered, so
-neighbouring tables share their leading column tuples, after which the
-section scan and the table hash resume.
+covers (a ``range`` or a sorted list), and ``iter_indices`` streams any slice
+of it by one walk.  The walk keeps its path and each column's a- and
+b-tuples on stacks, so a range steps from leaf to leaf and consecutive
+tables share their leading column tuples, after which the section scan and
+the table hash resume.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .chain import ChainCurve, build_elliptic_chain
 from .table import VanishingTable, rho_accounting, table_from_columns, validate_table
@@ -45,6 +45,10 @@ MAX_BUDGET = 2
 # Walk nodes kept before the node cache is cleared: about 1.8 kB each, so
 # at most ~7.5 MB.  2,000 uniform two-swap samples of (23,6,26) visit 2,564
 # distinct nodes (4.7 MB), 20,000 visit 3,196; a range walk visits far fewer.
+# The walk never re-enters a node on its path, but different prefixes reach
+# the same labeled state: without the cache the walk alone took ~45 instead
+# of ~10 us per (21,6,24) rho-0 range table, 700-950 instead of ~87 us per
+# two-swap sample.
 _NODE_CAP = 4096
 
 STRATA: dict[str, Callable[[int], bool]] = {
@@ -267,47 +271,45 @@ class TableEnumerator:
         node = self._nodes[node_key] = (children, cums)
         return node
 
-    def _root(self) -> tuple[list[tuple], list[int]]:
-        return self._node(-1, (), self.rho_max, 0)
+    def _walk(self, indices: Iterable[int]) -> Iterator[tuple[int, VanishingTable]]:
+        """Yield (index, table) for strictly ascending, in-range indices.
 
-    def _walk(self, i: int, node, skip: int, cols: list[tuple[int, ...]],
-              b_cols: list[tuple[int, ...]]) -> Iterator[VanishingTable]:
-        """Stream the tables below ``node``, whose children are the states
-        after column ``i``, from the ``skip``-th on.
-
-        The child holding ``skip`` is found by bisection and entered with
-        what is left of it; every later child with a non-zero count is
-        streamed whole.  ``cols`` holds the row values of the path so far
-        and ``b_cols`` beside it their b-values ``d - cols[k]``, pushed and
-        popped together, so each b tuple is built once per node entered and
-        neighbouring tables share their column tuples: the table at a leaf
-        has a-columns ``cols[:-1]`` and b-columns ``b_cols[1:]``.
+        ``path`` holds the nodes entered, each with the indices of its first
+        leaf and past its last; an index climbs to the deepest one still
+        holding it and descends from there by bisection.  ``cols`` holds the
+        row values of the children chosen and ``b_cols`` their b-values
+        ``d - cols[k]``, so consecutive tables share the tuples of their
+        common leading columns: a leaf's table has a-columns ``cols[:-1]``
+        and b-columns ``b_cols[1:]``.
         """
-        children, cums = node
-        first, skip = _locate(cums, skip)
-        d = self.d
-        for k in range(first, len(children)):
-            if k and cums[k] == cums[k - 1]:
-                continue   # the stratum accepts nothing below this child
-            a, budget, swaps = children[k]
-            cols.append(a)
-            b_cols.append(tuple([d - v for v in a]))
-            if i == self.g:
-                yield VanishingTable(self.chain, self.r, d, tuple(cols[:-1]),
-                                     tuple(b_cols[1:]))
-            else:
-                yield from self._walk(i + 1, self._node(i, a, budget, swaps),
-                                      skip, cols, b_cols)
-            cols.pop()
-            b_cols.pop()
-            skip = 0
+        d, g = self.d, self.g
+        root = self._node(-1, (), self.rho_max, 0)
+        path = [(root, 0, root[1][-1])]
+        cols: list[tuple[int, ...]] = []
+        b_cols: list[tuple[int, ...]] = []
+        for idx in indices:
+            while idx >= path[-1][2]:
+                path.pop()
+            del cols[len(path) - 1:], b_cols[len(path) - 1:]
+            (children, cums), lo, _ = path[-1]
+            while True:
+                k, skip = _locate(cums, idx - lo)
+                a, budget, swaps = children[k]
+                cols.append(a)
+                b_cols.append(tuple([d - v for v in a]))
+                if len(cols) > g:
+                    break
+                lo, hi = idx - skip, lo + cums[k]
+                children, cums = node = self._node(len(cols) - 1, a, budget, swaps)
+                path.append((node, lo, hi))
+            yield idx, VanishingTable(self.chain, self.r, d, tuple(cols[:-1]),
+                                      tuple(b_cols[1:]))
 
     def iter_range(self, start: int, count: int) -> Iterator[tuple[int, VanishingTable]]:
         """Yield (index, table) for the canonical slice [start, start+count)."""
         if start < 0 or count < 0:
             raise EnumerationError("bad range")
-        stop = min(start + count, self.total())  # the walk starts below total
-        return zip(range(start, stop), self._walk(0, self._root(), start, [], []))
+        return self._walk(range(start, min(start + count, self.total())))
 
     def sample_indices(self, n: int, seed: int) -> list[int]:
         if n < 0:
@@ -317,19 +319,21 @@ class TableEnumerator:
         rng = random.Random(seed)
         return sorted(rng.sample(range(total), n))
 
-    def iter_indices(self, indices) -> Iterator[tuple[int, VanishingTable]]:
-        """Yield (index, table) for an ascending list of stratum indices."""
-        prev = None
+    def iter_indices(self, indices: Iterable[int]) -> Iterator[tuple[int, VanishingTable]]:
+        """Yield (index, table) for strictly ascending stratum indices, a
+        range or a list, each checked when the walk reaches it."""
         total = self.total()
-        root = self._root()
-        for idx in indices:
-            if prev is not None and idx <= prev:
-                raise EnumerationError("indices must be strictly ascending")
-            if not 0 <= idx < total:
-                raise EnumerationError(f"index {idx} out of range ({total} tables)")
-            # the first table of the walk from idx: one bisection per column
-            yield (idx, next(self._walk(0, root, idx, [], [])))
-            prev = idx
+
+        def checked() -> Iterator[int]:
+            prev = None
+            for idx in indices:
+                if prev is not None and idx <= prev:
+                    raise EnumerationError("indices must be strictly ascending")
+                if not 0 <= idx < total:
+                    raise EnumerationError(f"index {idx} out of range ({total} tables)")
+                yield idx
+                prev = idx
+        return self._walk(checked())
 
     def run_indices(self, mode: str, n: int | None, seed: int | None,
                     limit: int | None) -> range | list[int]:
@@ -355,14 +359,6 @@ class TableEnumerator:
             return range(self.total())[:limit]
         return self.sample_indices(n, seed)[:limit]
 
-    def iter_slice(self, indices: range | list[int]
-                   ) -> Iterator[tuple[int, VanishingTable]]:
-        """Yield (index, table) for a slice of :meth:`run_indices`: a range
-        is walked, a list is unranked index by index."""
-        if isinstance(indices, range):
-            return self.iter_range(indices.start, len(indices))
-        return self.iter_indices(indices)
-
 
 def enumerate_tables(g: int, r: int, d: int, rho_max: int | None = None,
                      mode: str = "exhaustive", n: int | None = None,
@@ -372,7 +368,7 @@ def enumerate_tables(g: int, r: int, d: int, rho_max: int | None = None,
     tables of :meth:`TableEnumerator.run_indices`, checked and counted
     before this returns."""
     enum = TableEnumerator(g, r, d, rho_max, stratum)
-    pairs = enum.iter_slice(enum.run_indices(mode, n, seed, None))
+    pairs = enum.iter_indices(enum.run_indices(mode, n, seed, None))
     return (table for _, table in pairs)
 
 

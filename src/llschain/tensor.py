@@ -25,8 +25,8 @@ Neighbouring tables of a range walk share most of their columns (on the
 the scan at a column depends only on that column, its two twist values and
 the state the columns before it left.  So the scan keeps its previous call
 in one slot per thread and resumes at the first column where the new call
-differs; a call that shares nothing, such as a sampled table after another,
-resumes at column 0, which is the whole scan.
+differs.  Sorted samples share less (consecutive seed-1 two-swap samples
+of (23,6,26): a median 6 leading columns); no shared column means a rescan.
 """
 
 from __future__ import annotations

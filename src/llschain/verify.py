@@ -358,7 +358,7 @@ def _merge_counters(counters: dict, chunk: dict) -> None:
 
 def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
     spec, indices, emit_certs = args
-    items = _worker_enumerator(spec).iter_slice(indices)
+    items = _worker_enumerator(spec).iter_indices(indices)
     lines: list[str] = []
     counters = _new_counters()
     for idx, table in items:

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 from itertools import combinations
 from math import factorial
 
@@ -282,10 +283,14 @@ def test_run_indices_are_the_range_or_sample_cut_to_limit():
     assert enum.run_indices("sampled", 10, 3, 0) == []
     stream = dict(enum.iter_range(0, total))
     for part in (range(total)[3:9], range(total)[total:], sample[2:6], []):
-        assert list(enum.iter_slice(part)) == [(i, stream[i]) for i in part]
+        assert list(enum.iter_indices(part)) == [(i, stream[i]) for i in part]
 
 
-def test_walk_rejects_counts_its_subtrees_do_not_hold():
+@pytest.mark.parametrize("past_end", [
+    lambda enum, total: enum.iter_range(total, 1),
+    lambda enum, total: enum.iter_indices([total]),
+], ids=["iter_range", "iter_indices"])
+def test_walk_rejects_counts_its_subtrees_do_not_hold(past_end):
     enum = TableEnumerator(5, 1, 4, 1)
     total = enum.total()
     a1, budget = enum._roots()[-1]
@@ -293,21 +298,10 @@ def test_walk_rejects_counts_its_subtrees_do_not_hold():
     enum._memo[(0, a1, budget)] = (n0 + 1, n1, n2)  # one leaf too many below the last root
     assert enum.total() == total + 1
     assert len(list(enum.iter_range(0, total))) == total
-    with pytest.raises(EnumerationError, match="offset out of range"):
-        list(enum.iter_range(total, 1))
-
-
-def test_unranking_rejects_counts_its_subtrees_do_not_hold():
-    enum = TableEnumerator(5, 1, 4, 1)
-    total = enum.total()
-    a1, budget = enum._roots()[-1]
-    n0, n1, n2 = enum._memo[(0, a1, budget)]
-    enum._memo[(0, a1, budget)] = (n0 + 1, n1, n2)  # one leaf too many below the last root
-    assert enum.total() == total + 1
     assert len(list(enum.iter_indices(range(total)))) == total
     # bisection lands past the last child of that root: not an IndexError
     with pytest.raises(EnumerationError, match="offset out of range"):
-        list(enum.iter_indices([total]))
+        list(past_end(enum, total))
 
 
 def test_oracle_rejects_large_spaces():
@@ -495,12 +489,40 @@ def test_unranking_matches_reference_walk_property(family, stratum, data):
     count = data.draw(st.integers(0, 40))
     got = [t for _, t in enum.iter_range(start, count)]
     assert got == _reference_walk(enum, start, count)
+    stop = min(start + count, total)
+    got = [t for _, t in enum.iter_indices(range(start, stop))]
+    assert got == _reference_walk(enum, start, count)
 
 
 def test_unranking_matches_reference_walk_on_two_swap_samples():
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     indices = enum.sample_indices(300, seed=12345)
     assert list(enum.iter_indices(indices)) == _reference_indices(enum, indices)
+
+
+@pytest.mark.parametrize("family,indices", [
+    ((23, 6, 26, None, "two_swap"), lambda enum: enum.sample_indices(300, seed=1)),
+    ((21, 6, 24, 0), lambda enum: range(600_000, 600_300)),
+], ids=["two_swap_sample", "rho0_range"])
+def test_walk_shares_leading_column_tuples(family, indices):
+    # one walk serves every index: each table keeps the tuple objects of the
+    # columns it shares with its predecessor, and the hash, which resumes
+    # where they stop being the same objects, is the plain payload's
+    enum = TableEnumerator(*family)
+    prev = None
+    shared = []
+    for _, table in enum.iter_indices(indices(enum)):
+        payload = "%d;%d;%s;%s;%s" % (table.r, table.d, table.chain.genera,
+                                      table.a, table.b)
+        assert table.hash == hashlib.sha256(payload.encode()).hexdigest()[:16]
+        if prev is not None:
+            first = next(k for k, (a, b, pa, pb) in enumerate(
+                zip(table.a, table.b, prev.a, prev.b)) if a != pa or b != pb)
+            for k in range(first):
+                assert table.a[k] is prev.a[k] and table.b[k] is prev.b[k]
+            shared.append(first)
+        prev = table
+    assert sorted(shared)[len(shared) // 2] >= 4
 
 
 def test_capped_node_cache_yields_the_same_tables(monkeypatch):
