@@ -77,10 +77,10 @@ class ChainCurve:
 
 
 def build_elliptic_chain(g: int) -> ChainCurve:
-    """Pure chain of g genus-1 components, all node weights 1."""
+    """Pure chain of g genus-1 components, with no node weights."""
     if g < 1:
         raise ChainError(f"genus must be positive, got {g}")
-    return ChainCurve((1,) * g, (1,) * (g - 1))
+    return ChainCurve((1,) * g)
 
 
 def left_weighted_weights(chain: ChainCurve, d: int) -> tuple[int, ...]:

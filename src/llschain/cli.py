@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .chain import build_elliptic_chain, left_weighted_weights
@@ -95,13 +94,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        jobs = int(os.environ.get("LLSCHAIN_JOBS", "1"))
     config = FamilyConfig(
         g=args.g, r=args.r, d=args.d, rho_max=args.rho_max,
         mode=args.mode, n=args.n, seed=args.seed, stratum=args.stratum,
-        jobs=jobs, out_path=args.out, checkpoint_path=args.checkpoint,
+        jobs=args.jobs, out_path=args.out, checkpoint_path=args.checkpoint,
         emit_certificates=args.emit_certs, limit=args.limit,
     )
     report = verify_family(config)
@@ -219,7 +215,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="verify a family, streaming verdicts")
     _add_family_flags(p)
     _add_run_flags(p)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--emit-certs", action="store_true")
     p.set_defaults(func=_cmd_verify)

@@ -26,9 +26,12 @@ worker processes.  Verdicts stream as JSONL with a chained stream hash, and
 a checkpoint after every merged chunk records how many indices are done and
 the JSONL's length.  A resume cuts off lines written past it and continues
 the same sequence, so rerunning the identical command after a stop or a
-hard kill finishes exactly the uninterrupted run.  The report aggregates
-per-class counts and the structural invariant checks (spanning bound, swap
-bound, disconnection bound) observed along the way.
+hard kill finishes exactly the uninterrupted run.  One ``Tally`` holds the
+run's counts: pass/fail, per-class and per-side counts, and the structural
+invariant checks (spanning bound, swap bound, disconnection bound) observed
+along the way.  Each chunk fills one, the run merges them in stream order,
+the checkpoint saves the merged tally and ``Report`` extends it; a
+checkpoint of an older layout does not match any run.
 
 A verdict line is ``json.dumps(verdict.to_json(c), sort_keys=True,
 separators=(",", ":"))``, but ``Verdict.to_line`` writes it without
@@ -50,7 +53,7 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .chain import left_weighted_weights
 from .drop import DropCertificate, DropContext, drop_all, replay_certificate
@@ -71,9 +74,11 @@ from .tensor import build_tensor_table, extract_potential_sections  # noqa: F401
 
 SIDE_NOT_APPLICABLE = "not_applicable"
 
-# examples kept in chunk counters, checkpoints and reports alike
+# examples a Tally keeps
 _FAILURE_EXAMPLES = 100
 _VIOLATION_EXAMPLES = 20
+# first entry of a checkpoint's spec; a checkpoint of another layout is refused
+_CHECKPOINT_LAYOUT = "tally"
 # tables per worker task, and per checkpoint
 _CHUNK_SIZE = 2000
 # json.dumps separators of a verdict line
@@ -185,6 +190,17 @@ def _cycle2_side(table: VanishingTable, klass: DegeneracyClass,
     return None
 
 
+def _side_condition(table: VanishingTable, klass: DegeneracyClass,
+                    ctx: DropContext) -> str | None:
+    """The side label a candidate passes with, or None if it fails its
+    class's side condition; only the 3-cycle shapes have one."""
+    if klass.kind == "cycle1":
+        return _cycle1_side(klass, ctx)
+    if klass.kind == "cycle2":
+        return _cycle2_side(table, klass, ctx)
+    return SIDE_NOT_APPLICABLE
+
+
 def _default_invariants(table: VanishingTable, ctx: DropContext) -> list[str]:
     """Structural facts checked at the default multidegree."""
     out = []
@@ -231,18 +247,10 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
             diagnostics.append(
                 f"candidate {pos}: {len(result.remaining)} sections stuck")
             continue
-        if klass.kind == "cycle1":
-            side = _cycle1_side(klass, context)
-            if side is None:
-                diagnostics.append(f"candidate {pos}: cycle1 side condition fails")
-                continue
-        elif klass.kind == "cycle2":
-            side = _cycle2_side(table, klass, context)
-            if side is None:
-                diagnostics.append(f"candidate {pos}: cycle2 side condition fails")
-                continue
-        else:
-            side = SIDE_NOT_APPLICABLE
+        side = _side_condition(table, klass, context)
+        if side is None:
+            diagnostics.append(f"candidate {pos}: {klass.kind} side condition fails")
+            continue
         if not replay_certificate(result.certificate, context):
             diagnostics.append(f"candidate {pos}: certificate does not replay")
             continue
@@ -291,8 +299,54 @@ class FamilyConfig:
         return (self.g, self.r, self.d, self.rho_max, self.stratum)
 
 
+@dataclass(kw_only=True)
+class Tally:
+    """A family run's counts; only the first failures and violation examples
+    are kept."""
+
+    passed: int = 0
+    failed: int = 0
+    class_counts: dict = field(default_factory=dict)
+    side_counts: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
+    invariant_violations: int = 0
+    violation_examples: list = field(default_factory=list)
+
+    def add(self, verdict: Verdict) -> None:
+        kind, side = verdict.degeneracy.kind, verdict.side_condition
+        self.class_counts[kind] = self.class_counts.get(kind, 0) + 1
+        self.side_counts[side] = self.side_counts.get(side, 0) + 1
+        if verdict.passing:
+            self.passed += 1
+        else:
+            self.failed += 1
+            if len(self.failures) < _FAILURE_EXAMPLES:
+                self.failures.append(
+                    {"index": verdict.index, "table": verdict.table_hash})
+        if verdict.invariant_violations:
+            self.invariant_violations += len(verdict.invariant_violations)
+            if len(self.violation_examples) < _VIOLATION_EXAMPLES:
+                self.violation_examples.append(
+                    {"index": verdict.index,
+                     "violations": list(verdict.invariant_violations)})
+
+    def merge(self, other: Tally) -> None:
+        """Fold in the counts of the verdicts that follow this tally's."""
+        self.passed += other.passed
+        self.failed += other.failed
+        self.invariant_violations += other.invariant_violations
+        for mine, theirs in ((self.class_counts, other.class_counts),
+                             (self.side_counts, other.side_counts)):
+            for name, cnt in theirs.items():
+                mine[name] = mine.get(name, 0) + cnt
+        self.failures = (self.failures + other.failures)[:_FAILURE_EXAMPLES]
+        self.violation_examples = (
+            self.violation_examples + other.violation_examples
+        )[:_VIOLATION_EXAMPLES]
+
+
 @dataclass
-class Report:
+class Report(Tally):
     g: int
     r: int
     d: int
@@ -301,36 +355,15 @@ class Report:
     seed: int
     total_in_stratum: int
     verified: int
-    passed: int
-    failed: int
-    class_counts: dict = field(default_factory=dict)
-    side_counts: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    invariant_violations: int = 0
-    violation_examples: list = field(default_factory=list)
     stream_hash: str = ""
     elapsed_seconds: float = 0.0
     resumed_from: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "family": {"g": self.g, "r": self.r, "d": self.d},
-            "stratum": self.stratum,
-            "mode": self.mode,
-            "seed": self.seed,
-            "total_in_stratum": self.total_in_stratum,
-            "verified": self.verified,
-            "passed": self.passed,
-            "failed": self.failed,
-            "class_counts": self.class_counts,
-            "side_counts": self.side_counts,
-            "failures": self.failures[:_FAILURE_EXAMPLES],
-            "invariant_violations": self.invariant_violations,
-            "violation_examples": self.violation_examples[:_VIOLATION_EXAMPLES],
-            "stream_hash": self.stream_hash,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "resumed_from": self.resumed_from,
-        }
+        out = asdict(self)
+        out["family"] = {key: out.pop(key) for key in ("g", "r", "d")}
+        out["elapsed_seconds"] = round(self.elapsed_seconds, 3)
+        return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -338,57 +371,23 @@ def _worker_enumerator(spec: tuple) -> TableEnumerator:
     return TableEnumerator(*spec)
 
 
-def _new_counters() -> dict:
-    return {
-        "passed": 0, "failed": 0, "classes": {}, "sides": {},
-        "failures": [], "violations": 0, "violation_examples": [],
-    }
-
-
-def _merge_counters(counters: dict, chunk: dict) -> None:
-    for key in ("passed", "failed", "violations"):
-        counters[key] += chunk[key]
-    for key in ("classes", "sides"):
-        for name, cnt in chunk[key].items():
-            counters[key][name] = counters[key].get(name, 0) + cnt
-    for key, cap in (("failures", _FAILURE_EXAMPLES),
-                     ("violation_examples", _VIOLATION_EXAMPLES)):
-        counters[key] = (counters[key] + chunk[key])[:cap]
-
-
-def _verify_chunk(args: tuple) -> tuple[list[str], dict]:
+def _verify_chunk(args: tuple) -> tuple[list[str], Tally]:
     spec, indices, emit_certs = args
-    items = _worker_enumerator(spec).iter_indices(indices)
     lines: list[str] = []
-    counters = _new_counters()
-    for idx, table in items:
+    tally = Tally()
+    for idx, table in _worker_enumerator(spec).iter_indices(indices):
         verdict = verify_table(table, index=idx)
         lines.append(verdict.to_line(emit_certs))
-        kind = verdict.degeneracy.kind
-        counters["classes"][kind] = counters["classes"].get(kind, 0) + 1
-        side = verdict.side_condition
-        counters["sides"][side] = counters["sides"].get(side, 0) + 1
-        if verdict.passing:
-            counters["passed"] += 1
-        else:
-            counters["failed"] += 1
-            if len(counters["failures"]) < _FAILURE_EXAMPLES:
-                counters["failures"].append(
-                    {"index": idx, "table": verdict.table_hash}
-                )
-        if verdict.invariant_violations:
-            counters["violations"] += len(verdict.invariant_violations)
-            if len(counters["violation_examples"]) < _VIOLATION_EXAMPLES:
-                counters["violation_examples"].append(
-                    {"index": idx, "violations": list(verdict.invariant_violations)}
-                )
-    return lines, counters
+        tally.add(verdict)
+    return lines, tally
 
 
 def _checkpoint_spec(config: FamilyConfig) -> list:
-    """Every setting a resumed run must share with the run it continues."""
-    return [config.g, config.r, config.d, config.rho_max, config.stratum,
-            config.mode, config.seed, config.n, config.emit_certificates]
+    """Every setting a resumed run must share with the run it continues,
+    after a marker of the checkpoint's layout."""
+    return [_CHECKPOINT_LAYOUT, config.g, config.r, config.d, config.rho_max,
+            config.stratum, config.mode, config.seed, config.n,
+            config.emit_certificates]
 
 
 def _load_checkpoint(config: FamilyConfig) -> dict:
@@ -422,7 +421,7 @@ def _open_output(config: FamilyConfig, checkpoint: dict):
 
 
 def _save_checkpoint(config: FamilyConfig, done: int, stream_hash: str,
-                     counters: dict, out_fh) -> None:
+                     tally: Tally, out_fh) -> None:
     """Atomically record progress, after the JSONL it covers is on disk."""
     if not config.checkpoint_path:
         return
@@ -435,7 +434,7 @@ def _save_checkpoint(config: FamilyConfig, done: int, stream_hash: str,
         "spec": _checkpoint_spec(config),
         "done": done,
         "stream_hash": stream_hash,
-        "counters": counters,
+        "tally": asdict(tally),
         "out_bytes": out_bytes,
     }
     tmp = config.checkpoint_path + ".tmp"
@@ -465,7 +464,7 @@ def verify_family(config: FamilyConfig) -> Report:
     checkpoint = _load_checkpoint(config)
     done = resumed_from = checkpoint.get("done", 0)
     stream_hash = checkpoint.get("stream_hash", "")
-    counters = checkpoint.get("counters") or _new_counters()
+    tally = Tally(**checkpoint.get("tally", {}))
 
     tasks = ((spec, indices[lo:lo + _CHUNK_SIZE], config.emit_certificates)
              for lo in range(done, len(indices), _CHUNK_SIZE))
@@ -478,28 +477,22 @@ def verify_family(config: FamilyConfig) -> Report:
             pool = stack.enter_context(
                 multiprocessing.get_context("fork").Pool(config.jobs))
             results = pool.imap(_verify_chunk, tasks)
-        for lines, chunk_counters in results:
+        for lines, chunk_tally in results:
             for line in lines:
                 if out_fh:
                     out_fh.write(line + "\n")
                 stream_hash = _chain_hash(stream_hash, line)
             done += len(lines)
-            _merge_counters(counters, chunk_counters)
-            _save_checkpoint(config, done, stream_hash, counters, out_fh)
+            tally.merge(chunk_tally)
+            _save_checkpoint(config, done, stream_hash, tally, out_fh)
 
     return Report(
         g=config.g, r=config.r, d=config.d,
         stratum=config.stratum, mode=config.mode, seed=config.seed,
         total_in_stratum=enum.total(),
         verified=done,
-        passed=counters["passed"],
-        failed=counters["failed"],
-        class_counts=dict(sorted(counters["classes"].items())),
-        side_counts=dict(sorted(counters["sides"].items())),
-        failures=counters["failures"],
-        invariant_violations=counters["violations"],
-        violation_examples=counters["violation_examples"],
         stream_hash=stream_hash,
         elapsed_seconds=time.time() - started,
         resumed_from=resumed_from,
+        **vars(tally),
     )

@@ -14,13 +14,13 @@ def test_build_elliptic_chain_g22():
     assert chain.n_components == 22
     assert chain.genus == 22
     assert all(g == 1 for g in chain.genera)
-    assert chain.node_weights == (1,) * 21
+    assert chain.node_weights is None
 
 
 def test_build_elliptic_chain_smallest():
     chain = build_elliptic_chain(1)
     assert chain.n_components == 1
-    assert chain.node_weights == ()
+    assert chain.node_weights is None
 
 
 def test_genus_prefix_pure_chain():

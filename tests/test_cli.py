@@ -198,7 +198,7 @@ def test_cli_left_weighted(capsys):
     assert capsys.readouterr().out.strip() == "10100,100,1"
 
 
-def test_cli_flag_errors(capsys, tmp_path, monkeypatch):
+def test_cli_flag_errors(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["enumerate"])  # missing required flags
     assert main(["inspect"]) == 2  # no table given
@@ -219,7 +219,6 @@ def test_cli_flag_errors(capsys, tmp_path, monkeypatch):
     out = tmp_path / "v.jsonl"
     assert main(["verify", "--g", "6", "--r", "1", "--d", "4", "--limit", "2",
                  "--out", str(out)]) == 2
-    monkeypatch.setenv("LLSCHAIN_JOBS", "2")  # --jobs 0 must not fall back
     for jobs in ("-3", "0"):
         assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
                      "--limit", "3", "--jobs", jobs, "--out", str(out)]) == 2

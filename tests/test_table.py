@@ -336,11 +336,14 @@ def test_bar_table_sorted_and_counts():
 
 
 def test_json_round_trip_and_hash():
-    table = g22_example()
-    again = VanishingTable.from_json(table.to_json())
-    assert again == table
-    assert again.table_hash() == table.table_hash()
-    assert len(table.table_hash()) == 16
+    # the hand-built example and a table of the walk, whose chain the walk
+    # builds itself
+    [(_, walked)] = TableEnumerator(21, 6, 24, 0).iter_indices([5])
+    for table in (g22_example(), walked):
+        again = VanishingTable.from_json(table.to_json())
+        assert again == table
+        assert again.table_hash() == table.table_hash()
+        assert len(table.table_hash()) == 16
 
 
 def test_json_genera_must_list_one_int_per_column():

@@ -21,9 +21,10 @@ from llschain import (
 )
 from llschain import table as table_module
 from llschain import verify as verify_module
+from llschain.cli import main
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import iter_candidate_multidegrees
-from llschain.verify import FamilyConfig, Verdict, verify_family
+from llschain.verify import FamilyConfig, Tally, Verdict, verify_family
 
 from test_drop import exhaustive_order_search, family_tables
 
@@ -254,26 +255,79 @@ def test_family_run_and_report(tmp_path, monkeypatch):
     assert first["pass"] and first["index"] == 0
 
 
+def _resumable(report):
+    """A report's JSON without the two keys a resume may change."""
+    out = report.to_json()
+    del out["elapsed_seconds"], out["resumed_from"]
+    return out
+
+
 def test_family_checkpoint_resume_hash_equality(tmp_path, monkeypatch):
+    # the resumed run's report, counts included, is the uninterrupted run's;
+    # two-swap samples mix four classes and several side labels
     monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
-    base = dict(g=22, r=6, d=25, stratum="has_swap")
+    base = dict(g=23, r=6, d=26, stratum="two_swap", mode="sampled", n=200,
+                seed=1)
     full_cfg = FamilyConfig(**base, limit=200,
                             out_path=str(tmp_path / "full.jsonl"))
     full = verify_family(full_cfg)
+    assert len(full.class_counts) > 1 and len(full.side_counts) > 1
 
-    ck = tmp_path / "resume.ck"
-    part1 = verify_family(FamilyConfig(**base, limit=80,
-                                       out_path=str(tmp_path / "resumed.jsonl"),
-                                       checkpoint_path=str(ck)))
-    assert part1.verified == 80
-    part2 = verify_family(FamilyConfig(**base, limit=200,
-                                       out_path=str(tmp_path / "resumed.jsonl"),
-                                       checkpoint_path=str(ck)))
-    assert part2.resumed_from == 80
-    assert part2.verified == 200
-    assert part2.stream_hash == full.stream_hash
-    assert (tmp_path / "resumed.jsonl").read_text() == \
-        (tmp_path / "full.jsonl").read_text()
+    for jobs in (1, 2):
+        ck, out = tmp_path / f"resume{jobs}.ck", tmp_path / f"resumed{jobs}.jsonl"
+        part1 = verify_family(FamilyConfig(**base, limit=80, jobs=jobs,
+                                           out_path=str(out),
+                                           checkpoint_path=str(ck)))
+        assert part1.verified == 80
+        part2 = verify_family(FamilyConfig(**base, limit=200, jobs=jobs,
+                                           out_path=str(out),
+                                           checkpoint_path=str(ck)))
+        assert part2.resumed_from == 80
+        assert part2.verified == 200
+        assert part2.stream_hash == full.stream_hash
+        assert _resumable(part2) == _resumable(full)
+        assert out.read_text() == (tmp_path / "full.jsonl").read_text()
+
+
+def test_tally_merge_keeps_first_examples_in_stream_order():
+    # chunks of 45 failures and 9 violation examples each; the merged tally
+    # counts them all and keeps the first 100 and 20 in stream order
+    merged = Tally()
+    for chunk in range(4):
+        first = 45 * chunk
+        merged.merge(Tally(
+            failed=45, invariant_violations=9,
+            failures=[{"index": first + k, "table": "t"} for k in range(45)],
+            violation_examples=[{"index": first + k, "violations": ["v"]}
+                                for k in range(9)]))
+    assert merged.failed == 180 and merged.invariant_violations == 36
+    assert [f["index"] for f in merged.failures] == list(range(100))
+    assert [v["index"] for v in merged.violation_examples] == \
+        list(range(9)) + list(range(45, 54)) + [90, 91]
+
+
+def test_family_resume_refuses_older_checkpoint_layout(tmp_path, monkeypatch):
+    # a checkpoint whose counts are the string-keyed record of the earlier
+    # layout, with no layout marker in its spec, is refused, not misread
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 20)
+    out, ck = tmp_path / "o.jsonl", tmp_path / "o.ck"
+    base = dict(g=21, r=6, d=24, rho_max=0, out_path=str(out),
+                checkpoint_path=str(ck))
+    verify_family(FamilyConfig(**base, limit=40))
+    saved = json.loads(ck.read_text())
+    tally = saved.pop("tally")
+    saved["spec"] = saved["spec"][1:]
+    saved["counters"] = {
+        "passed": tally["passed"], "failed": tally["failed"],
+        "classes": tally["class_counts"], "sides": tally["side_counts"],
+        "failures": [], "violations": 0, "violation_examples": [],
+    }
+    ck.write_text(json.dumps(saved))
+    with pytest.raises(ValueError, match="checkpoint does not match"):
+        verify_family(FamilyConfig(**base, limit=60))
+    assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
+                 "--limit", "60", "--out", str(out),
+                 "--checkpoint", str(ck)]) == 2
 
 
 def test_family_resume_drops_lines_past_checkpoint(tmp_path, monkeypatch):
