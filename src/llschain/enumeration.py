@@ -11,43 +11,49 @@ choices that invert the relative order of two rows.
 Enumeration order is canonical: ramification vectors first, then per-column
 choices ordered by (delta row, slack assignment), so the stream of tables is
 reproducible and can be partitioned by index ranges.  Column choices are
-generated valid by construction, never filtered.  Subtree sizes come from an
-exact dynamic program on sorted value tuples whose value is a vector: the
-completions that add no swap, one swap, and two or more.  One pass serves
-every stratum.  The count keeps only these vectors: each state's choice list
-is built, read once and dropped.
+generated valid by construction, never filtered, on an int bitmask of a
+state's row values (bit v is set iff some row has value v): the rows other
+than the delta row lift by one shift, a clash with the delta row is one bit
+test, and a slack move moves one lifted bit up by one or two.  Subtree sizes
+come from an exact dynamic program on ``(column, mask, budget)`` whose value
+is a vector: the completions that add no swap, one swap, and two or more.
+One pass serves every stratum.  The count keeps only these vectors: each
+state's choice list is built, read once and dropped, and no value tuple is
+built for a successor.
 
 Walks run over nodes keyed by the labeled state: a node holds the state's
-children in canonical order and the prefix sums of their stratum counts, so
-unranking an index takes one bisection per column (rank/unrank by counting,
-Nijenhuis & Wilf, *Combinatorial Algorithms*, 1978).  This powers uniform
-deterministic sampling (unranking seeded random indices) and the stratified
-range streams used for the big verification runs.  ``run_indices`` is the
-one map from a run's mode, sample size, seed and limit to the indices it
-covers (a ``range`` or a sorted list), and ``iter_indices`` streams any slice
-of it by one walk.  The walk keeps its path and each column's a- and
-b-tuples on stacks, so a range steps from leaf to leaf and consecutive
-tables share their leading column tuples, after which the section scan and
-the table hash resume.
+column choices in canonical order and the prefix sums of their children's
+stratum counts, so unranking an index takes one bisection per column
+(rank/unrank by counting, Nijenhuis & Wilf, *Combinatorial Algorithms*,
+1978).  A choice carries its delta row and slack moves, and the walk builds
+a child's labeled row values from its parent's only when it enters it.
+This powers uniform deterministic sampling (unranking seeded random
+indices) and the stratified range streams used for the big verification
+runs.  ``run_indices`` is the one map from a run's mode, sample size, seed
+and limit to the indices it covers (a ``range`` or a sorted list), and
+``iter_indices`` streams any slice of it by one walk.  The walk keeps its
+path and each column's a- and b-tuples on stacks, so a range steps from
+leaf to leaf and consecutive tables share their leading column tuples,
+after which the section scan and the table hash resume.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Callable, Iterable, Iterator, NamedTuple
+from itertools import accumulate, combinations
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .chain import ChainCurve, build_elliptic_chain
 from .table import VanishingTable, rho_accounting, table_from_columns, validate_table
 
 MAX_BUDGET = 2
-# Walk nodes kept before the node cache is cleared: about 1.8 kB each, so
-# at most ~7.5 MB.  2,000 uniform two-swap samples of (23,6,26) visit 2,564
-# distinct nodes (4.7 MB), 20,000 visit 3,196; a range walk visits far fewer.
+# Walk nodes kept before the node cache is cleared: about 1.6 kB each, so
+# at most ~6.4 MB.  2,000 uniform two-swap samples of (23,6,26) visit 2,564
+# distinct nodes (4.0 MB), 20,000 visit 3,196; a range walk visits far fewer.
 # The walk never re-enters a node on its path, but different prefixes reach
-# the same labeled state: without the cache the walk alone took ~45 instead
-# of ~10 us per (21,6,24) rho-0 range table, 700-950 instead of ~87 us per
+# the same labeled state: without the cache the walk alone took ~28 instead
+# of ~13 us per (21,6,24) rho-0 range table, ~450 instead of ~67 us per
 # two-swap sample.
 _NODE_CAP = 4096
 
@@ -77,83 +83,112 @@ def _ram_vectors(rows: int, budget: int) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-class _Choice(NamedTuple):   # a tuple: cheaper to build than a frozen dataclass
-    new_a: tuple[int, ...]
-    cost: int
-    swaps: int
+# A column choice is one flat tuple, cheaper to build and smaller than a
+# NamedTuple holding a tuple: ``(mask, cost, swaps, delta, row, value, ...)``.
+# ``mask`` holds the successor's row values (bit v for value v), ``delta`` is
+# the row that keeps its value (None if none does), and each ``row, value``
+# pair after it moves a slack row; every other row gains one.
+_Choice = tuple
 
 
-def _column_choices(a: tuple[int, ...], budget: int, d: int) -> list[_Choice]:
-    """All valid column continuations from row values ``a``, canonical order.
+def _successor(a: tuple[int, ...], ch: _Choice) -> tuple[int, ...]:
+    """The labeled row values that choice ``ch`` makes from ``a``."""
+    new_a = [v + 1 for v in a]
+    delta = ch[3]
+    if delta is not None:
+        new_a[delta] = a[delta]
+    for k in range(4, len(ch), 2):
+        new_a[ch[k]] = ch[k + 1]
+    return tuple(new_a)
 
-    Only valid choices are built.  For each delta row the base successor
-    keeps the delta row's value and lifts every other row by one; it can
-    collide only where the row just below the delta row lands on it, and
-    then that row must take slack.  A slack row is admitted when its new
-    value is at most ``d`` and free, or freed by the other slack row.
+
+def _column_choices(a: Sequence[int], budget: int, d: int) -> list[_Choice]:
+    """All valid column continuations from distinct row values ``a`` (each
+    at most ``d``), in canonical order.
+
+    Only valid choices are built, on the bitmask of the values.  For each
+    delta row, of value ``dv``, the base successor keeps the delta row's
+    value and lifts every other row by one: ``(mask ^ bit) << 1 | bit`` for
+    ``bit = 1 << dv``.  It collides only where the row just below the delta
+    row lands on it (bit ``dv - 1`` of ``mask`` is set), and then that row
+    must take slack.  A slack row moves its lifted bit up by one or two, and
+    is admitted when its new value is at most ``d`` and free, or freed by
+    the other slack row.
     """
-    rows = len(a)
     out: list[_Choice] = []
-
-    def emit(new_a: list[int], cost: int, swaps: int) -> None:
-        out.append(_Choice(tuple(new_a), cost, swaps))
-
-    full = [j for j in range(rows) if a[j] >= d]   # rows that cannot gain one
-    if len(full) > 1:
-        return out
-    held = set(a)
-    lifted = {v + 1: j for j, v in enumerate(a)}   # value -> row, every row up one
-    for delta in full or [*range(rows), None]:
-        cost = 0 if delta is not None else 1
+    emit = out.append
+    mask = 0
+    for v in a:
+        mask |= 1 << v
+    lifted = mask << 1                          # every row up one
+    rows = range(len(a))
+    # a row at d cannot gain one, so it must be the delta row
+    deltas = (a.index(d),) if mask >> d & 1 else (*rows, None)
+    for delta in deltas:
+        if delta is None:
+            cost, occ, clash, dv = 1, lifted, None, None
+        else:
+            cost, dv = 0, a[delta]
+            bit = 1 << dv
+            occ = (mask ^ bit) << 1 | bit
+            # the row just below the delta row, if any, lands on it
+            clash = a.index(dv - 1) if lifted & bit else None
         spare = budget - cost
-        if spare < 0:
-            continue
-        base = [v + 1 for v in a]
-        occ = lifted
-        clash = None
-        if delta is not None:
-            stay = base[delta] = a[delta]
-            occ = dict(lifted)
-            del occ[stay + 1]
-            clash = occ.get(stay)   # the row just below the delta row
-            occ[stay] = delta
+        if spare < 0:   # only the last choice, no delta row, costs a unit
+            break
         if clash is None:
-            emit(base, cost, 0)
+            emit((occ, cost, 0, delta))
         if not spare:
             continue
-        # A clash leaves one mover.  A row given one extra overtakes only a
-        # delta row just above it (so only the clashing row swaps); given
-        # two, it overtakes the row just above it or a delta row two above.
-        movers = range(rows) if clash is None else (clash,)
+        # A clash leaves one mover, whose lifted bit is the delta row's.  A
+        # row given one extra overtakes only a delta row just above it (so
+        # only the clashing row swaps); given two, it overtakes the row just
+        # above it or a delta row two above.
+        movers = rows if clash is None else (clash,)
         for j in movers:
-            v = a[j] + 2
-            if j != delta and v <= d and v not in occ:
-                new_a = base.copy()
-                new_a[j] = v
-                emit(new_a, cost + 1, int(j == clash))
+            x = a[j]
+            if j != delta and x + 2 <= d and not occ >> x + 2 & 1:
+                emit((occ | 4 << x if j == clash else occ ^ 6 << x, cost + 1,
+                      int(j == clash), delta, j, x + 2))
         if spare < 2:
             continue
         for j in movers:
-            v = a[j] + 3
-            if j != delta and v <= d and v not in occ:
-                new_a = base.copy()
-                new_a[j] = v
-                emit(new_a, cost + 2, (v - 2 in held)
-                     + (delta is not None and a[delta] == v - 1))
-        for j1 in range(rows):
-            v1 = a[j1] + 2
-            if j1 == delta or v1 > d:
-                continue
-            for j2 in range(j1 + 1, rows):
-                v2 = a[j2] + 2
-                if (j2 == delta or v2 > d or clash not in (None, j1, j2)
-                        or occ.get(v1, j2) != j2 or occ.get(v2, j1) != j1):
-                    continue
-                new_a = base.copy()
-                new_a[j1] = v1
-                new_a[j2] = v2
-                emit(new_a, cost + 2, int(clash is not None))
+            x = a[j]
+            if j != delta and x + 3 <= d and not occ >> x + 3 & 1:
+                emit((occ | 8 << x if j == clash else occ ^ 10 << x, cost + 2,
+                      (mask >> x + 1 & 1) + (dv == x + 2), delta, j, x + 3))
+        # Two rows given one extra each: both new values must be free once
+        # the two leave their lifted bits (a clashing row's is the delta
+        # row's, so it stays).  A clash must be one of the two.
+        fits = [j for j in rows if j != delta and a[j] + 2 <= d]
+        if clash is None:
+            pairs: Iterable[tuple[int, int]] = combinations(fits, 2)
+        elif clash in fits:
+            pairs = [(min(j, clash), max(j, clash)) for j in fits if j != clash]
+        else:
+            continue
+        for j1, j2 in pairs:
+            x1, x2 = a[j1], a[j2]
+            rest = occ
+            if j1 != clash:
+                rest ^= 2 << x1
+            if j2 != clash:
+                rest ^= 2 << x2
+            add = 4 << x1 | 4 << x2
+            if not rest & add:
+                emit((rest | add, cost + 2, int(clash is not None), delta,
+                      j1, x1 + 2, j2, x2 + 2))
     return out
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending: a state's row values, sorted."""
+    vals = []
+    while mask:
+        low = mask & -mask
+        vals.append(low.bit_length() - 1)
+        mask ^= low
+    return vals
 
 
 def _locate(cums: list[int], skip: int) -> tuple[int, int]:
@@ -198,112 +233,124 @@ class TableEnumerator:
             for s in range(3)
         ]
         self.chain: ChainCurve = build_elliptic_chain(g)
-        self._memo: dict[tuple, tuple[int, int, int]] = {}
-        self._nodes: dict[tuple, tuple[list[tuple], list[int]]] = {}
+        self._start = tuple(range(-1, r))   # column -1, see _roots
+        self._memo: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+        self._nodes: dict[tuple, tuple[list[_Choice], list[int]]] = {}
 
     # -- counting ----------------------------------------------------------
 
-    def _vector(self, i: int, vals: tuple[int, ...],
-                budget: int) -> tuple[int, int, int]:
-        """Completions of a state after column i (vals sorted ascending),
-        split by the swaps they add: none, one, two or more."""
+    def _vector(self, i: int, mask: int, budget: int) -> tuple[int, int, int]:
+        """Completions of a state after column i (its row values as a
+        bitmask), split by the swaps they add: none, one, two or more."""
         if i == self.g:
             return (1, 0, 0)
-        key = (i, vals, budget)
-        hit = self._memo.get(key)
+        key = (i, mask, budget)
+        memo = self._memo
+        hit = memo.get(key)
         if hit is not None:
             return hit
         n0 = n1 = n2 = 0
-        for ch in _column_choices(vals, budget, self.d):
-            c0, c1, c2 = self._vector(i + 1, tuple(sorted(ch.new_a)),
-                                      budget - ch.cost)
-            if ch.swaps:   # a column choice adds at most one swap
+        for ch in _column_choices(_bits(mask), budget, self.d):
+            # most children are memo hits: look them up here, not by a call
+            child = (i + 1, ch[0], budget - ch[1])
+            sub = memo.get(child)
+            if sub is None:
+                sub = self._vector(*child)
+            c0, c1, c2 = sub
+            if ch[2]:   # a column choice adds at most one swap
                 n1, n2 = n1 + c0, n2 + c1 + c2
             else:
                 n0, n1, n2 = n0 + c0, n1 + c1, n2 + c2
-        vec = self._memo[key] = (n0, n1, n2)
+        vec = memo[key] = (n0, n1, n2)
         return vec
 
-    def _count(self, i: int, vals: tuple[int, ...], budget: int, swaps: int) -> int:
+    def _count(self, i: int, mask: int, budget: int, swaps: int) -> int:
         """Completions of a state after column i that the stratum accepts,
         given the capped swap count ``swaps`` of the path so far."""
-        n0, n1, n2 = self._vector(i, vals, budget)
+        n0, n1, n2 = self._vector(i, mask, budget)
         w0, w1, w2 = self._weights[swaps]
         return w0 * n0 + w1 * n1 + w2 * n2
 
-    def _roots(self) -> list[tuple[tuple[int, ...], int]]:
-        """Initial (a^1, remaining budget) states in canonical order."""
+    def _roots(self) -> list[_Choice]:
+        """The initial states in canonical order, as choices from column -1.
+
+        Row j of column -1 sits at ``j - 1``, so lifting every row by one
+        gives the unramified ``0, 1, ..., r``; a ramification vector is
+        slack on top of that, paid from the same budget.
+        """
         out = []
         for m in _ram_vectors(self.r + 1, self.rho_max):
-            a1 = tuple(j + m[j] for j in range(self.r + 1))
-            out.append((a1, self.rho_max - sum(m)))
+            a1 = [j + e for j, e in enumerate(m)]
+            slack = [x for j, e in enumerate(m) if e for x in (j, j + e)]
+            out.append((sum(1 << v for v in a1), sum(m), 0, None, *slack))
         return out
 
     def total(self) -> int:
-        return sum(self._count(0, a1, b, 0) for a1, b in self._roots())
+        return sum(self._count(0, ch[0], self.rho_max - ch[1], 0)
+                   for ch in self._roots())
 
     # -- walking -----------------------------------------------------------
 
     def _node(self, i: int, a: tuple[int, ...], budget: int,
-              swaps: int) -> tuple[list[tuple], list[int]]:
-        """The children of a state after column ``i``, and their prefix sums.
+              swaps: int) -> tuple[list[_Choice], list[int]]:
+        """The column choices of a labeled state after column ``i``, and the
+        prefix sums of their children's counts.
 
-        A child is ``(a, budget, swaps)``: its labeled row values, the budget
-        left and the capped swap count.
-        ``cums[k]`` is the stratum count of children ``0..k``.  Column -1 is
-        the root, whose children are the initial states.
+        ``cums[k]`` is the stratum count of the children of choices
+        ``0..k``.  Column -1 is the root, whose choices are the initial
+        states.
         """
         node_key = (i, a, budget, swaps)
         node = self._nodes.get(node_key)
         if node is not None:
             return node
-        if i < 0:
-            children = [(a1, b, 0) for a1, b in self._roots()]
-        else:
-            children = [
-                (ch.new_a, budget - ch.cost, min(MAX_BUDGET, swaps + ch.swaps))
-                for ch in _column_choices(a, budget, self.d)
-            ]
-        cums = list(accumulate(self._count(i + 1, tuple(sorted(new_a)), b, s)
-                               for new_a, b, s in children))
+        choices = self._roots() if i < 0 else _column_choices(a, budget, self.d)
+        cums = list(accumulate(
+            self._count(i + 1, ch[0], budget - ch[1], min(MAX_BUDGET, swaps + ch[2]))
+            for ch in choices))
         if len(self._nodes) >= _NODE_CAP:
             self._nodes.clear()
-        node = self._nodes[node_key] = (children, cums)
+        node = self._nodes[node_key] = (choices, cums)
         return node
 
     def _walk(self, indices: Iterable[int]) -> Iterator[tuple[int, VanishingTable]]:
         """Yield (index, table) for strictly ascending, in-range indices.
 
         ``path`` holds the nodes entered, each with the indices of its first
-        leaf and past its last; an index climbs to the deepest one still
-        holding it and descends from there by bisection.  ``cols`` holds the
-        row values of the children chosen and ``b_cols`` their b-values
-        ``d - cols[k]``, so consecutive tables share the tuples of their
-        common leading columns: a leaf's table has a-columns ``cols[:-1]``
-        and b-columns ``b_cols[1:]``.
+        leaf and past its last and its state's budget and swap count; an
+        index climbs to the deepest one still holding it and descends from
+        there by bisection.  ``cols`` holds column -1 and then the labeled
+        row values of the children entered, each built from its parent's
+        on entry, and ``b_cols`` their b-values ``d - cols[k]``, so
+        consecutive tables share the tuples of their common leading columns:
+        a leaf's table has a-columns ``cols[1:-1]`` and b-columns
+        ``b_cols[2:]``.
         """
         d, g = self.d, self.g
-        root = self._node(-1, (), self.rho_max, 0)
-        path = [(root, 0, root[1][-1])]
-        cols: list[tuple[int, ...]] = []
-        b_cols: list[tuple[int, ...]] = []
+        root = self._node(-1, self._start, self.rho_max, 0)
+        path = [(root, 0, root[1][-1], self.rho_max, 0)]
+        cols: list[tuple[int, ...]] = [self._start]
+        b_cols: list[tuple[int, ...]] = [()]
         for idx in indices:
             while idx >= path[-1][2]:
                 path.pop()
-            del cols[len(path) - 1:], b_cols[len(path) - 1:]
-            (children, cums), lo, _ = path[-1]
+            del cols[len(path):], b_cols[len(path):]
+            (choices, cums), lo, _, budget, swaps = path[-1]
             while True:
                 k, skip = _locate(cums, idx - lo)
-                a, budget, swaps = children[k]
+                ch = choices[k]
+                a = _successor(cols[-1], ch)
                 cols.append(a)
                 b_cols.append(tuple([d - v for v in a]))
-                if len(cols) > g:
+                if len(cols) > g + 1:
                     break
+                budget -= ch[1]
+                swaps = min(MAX_BUDGET, swaps + ch[2])
                 lo, hi = idx - skip, lo + cums[k]
-                children, cums = node = self._node(len(cols) - 1, a, budget, swaps)
-                path.append((node, lo, hi))
-            yield idx, VanishingTable(self.chain, self.r, d, tuple(cols[:-1]),
-                                      tuple(b_cols[1:]))
+                choices, cums = node = self._node(len(cols) - 2, a, budget, swaps)
+                path.append((node, lo, hi, budget, swaps))
+            yield idx, VanishingTable(self.chain, self.r, d, tuple(cols[1:-1]),
+                                      tuple(b_cols[2:]))
 
     def iter_range(self, start: int, count: int) -> Iterator[tuple[int, VanishingTable]]:
         """Yield (index, table) for the canonical slice [start, start+count)."""

@@ -127,7 +127,8 @@ def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, 
     two twist values differ (at most the last column), from the state saved
     before it.  A run still open there takes its first column from the last
     begin mask before it, and a run that closed earlier read only the
-    shared ``endable`` entries.  A table sharing nothing resumes at column 0.
+    shared ``endable`` entries.  A table whose first column differs from the
+    previous call's resumes at column 0.
     """
     cols = table.columns
     n = len(cols)

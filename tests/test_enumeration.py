@@ -23,9 +23,14 @@ from llschain.enumeration import (
     MAX_BUDGET,
     STRATA,
     TableEnumerator,
-    _Choice,
+    _bits,
     _column_choices,
+    _successor,
 )
+
+
+def _mask(values):
+    return sum(1 << v for v in values)
 
 
 def hook_length_count(rows, cols):
@@ -293,9 +298,10 @@ def test_run_indices_are_the_range_or_sample_cut_to_limit():
 def test_walk_rejects_counts_its_subtrees_do_not_hold(past_end):
     enum = TableEnumerator(5, 1, 4, 1)
     total = enum.total()
-    a1, budget = enum._roots()[-1]
-    n0, n1, n2 = enum._memo[(0, a1, budget)]
-    enum._memo[(0, a1, budget)] = (n0 + 1, n1, n2)  # one leaf too many below the last root
+    mask, cost = enum._roots()[-1][:2]
+    key = (0, mask, enum.rho_max - cost)
+    n0, n1, n2 = enum._memo[key]
+    enum._memo[key] = (n0 + 1, n1, n2)  # one leaf too many below the last root
     assert enum.total() == total + 1
     assert len(list(enum.iter_range(0, total))) == total
     assert len(list(enum.iter_indices(range(total)))) == total
@@ -336,6 +342,9 @@ def _slack_menu(rows, spare):
     return menu
 
 
+_Ref = collections.namedtuple("_Ref", "new_a cost swaps")
+
+
 def _reference_choices(a, budget, d):
     """Every (delta row, slack) combination, built and then filtered."""
     rows = len(a)
@@ -367,16 +376,18 @@ def _reference_choices(a, budget, d):
                         continue
                     if (a[j] - a[k] > 0) != (new_a[j] - new_a[k] > 0):
                         swaps += 1
-            out.append(_Choice(tuple(new_a), base_cost + sum(extra.values()),
-                               swaps))
+            out.append(_Ref(tuple(new_a), base_cost + sum(extra.values()), swaps))
     return out
 
 
 def _assert_choices_match(a, budget, d):
     got = _column_choices(a, budget, d)
-    # _Choice equality covers new_a, cost and swaps, in order
-    assert got == _reference_choices(a, budget, d), (a, budget, d)
-    assert all(ch.swaps <= 1 for ch in got)  # the counting DP relies on this
+    want = _reference_choices(a, budget, d)
+    # each choice's mask, labeled column, cost and swaps, in order
+    assert [(ch[0], _successor(a, ch), ch[1], ch[2]) for ch in got] == [
+        (_mask(ref.new_a), ref.new_a, ref.cost, ref.swaps) for ref in want
+    ], (a, budget, d)
+    assert all(ch[2] <= 1 for ch in got)  # the counting DP relies on this
 
 
 @pytest.mark.parametrize("g,r,d,rho_max,stratum", [
@@ -387,7 +398,7 @@ def _assert_choices_match(a, budget, d):
 def test_column_choices_match_reference_on_count(g, r, d, rho_max, stratum):
     enum = TableEnumerator(g, r, d, rho_max, stratum)
     enum.total()
-    counted = {(vals, budget) for _, vals, budget in enum._memo}
+    counted = {(tuple(_bits(mask)), budget) for _, mask, budget in enum._memo}
     assert counted
     for vals, budget in counted:
         _assert_choices_match(vals, budget, d)
@@ -397,7 +408,7 @@ def test_column_choices_match_reference_on_labeled_walk():
     # the walk asks for choices from labeled, unsorted row values too
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     indices = enum.sample_indices(300, seed=12345)
-    counted = {(vals, budget) for _, vals, budget in enum._memo}
+    counted = {(tuple(_bits(mask)), budget) for _, mask, budget in enum._memo}
     list(enum.iter_indices(indices))
     labeled = {(a, budget) for i, a, budget, _ in enum._nodes if i >= 0} - counted
     assert any(list(a) != sorted(a) for a, _ in labeled)
@@ -425,6 +436,49 @@ def test_count_builds_each_choice_list_once(monkeypatch):
     assert len(calls) == len(enum._memo)
 
 
+def _reference_roots(enum):
+    """The initial (a^1, budget left) states, in canonical order."""
+    return [(tuple(j + e for j, e in enumerate(m)), enum.rho_max - sum(m))
+            for m in enumeration._ram_vectors(enum.r + 1, enum.rho_max)]
+
+
+def _reference_vectors(enum):
+    """The count's vectors by a plain recursion on sorted value tuples over
+    _reference_choices, keyed by (column, row-value mask, budget)."""
+    memo = {}
+
+    def vector(i, vals, budget):
+        if i == enum.g:
+            return (1, 0, 0)
+        key = (i, _mask(vals), budget)
+        if key not in memo:
+            n0 = n1 = n2 = 0
+            for ch in _reference_choices(vals, budget, enum.d):
+                c0, c1, c2 = vector(i + 1, tuple(sorted(ch.new_a)),
+                                    budget - ch.cost)
+                if ch.swaps:
+                    n1, n2 = n1 + c0, n2 + c1 + c2
+                else:
+                    n0, n1, n2 = n0 + c0, n1 + c1, n2 + c2
+            memo[key] = (n0, n1, n2)
+        return memo[key]
+
+    for a1, budget in _reference_roots(enum):
+        vector(0, a1, budget)
+    return memo
+
+
+@pytest.mark.parametrize("family", [(6, 1, 5, 2), (8, 2, 8, 2), (5, 1, 4, 1)])
+def test_count_vectors_match_reference_dp(family):
+    want = None
+    for stratum in STRATA:
+        enum = TableEnumerator(*family, stratum)
+        enum.total()
+        if want is None:
+            want = _reference_vectors(enum)
+        assert enum._memo == want, stratum
+
+
 # -- unranking against the linear-scan walk ---------------------------------
 
 
@@ -442,7 +496,7 @@ def _reference_walk(enum, start, count):
     def walk(i, states, skip, cols):
         entered = False
         for a, budget, swaps in states:
-            sub = enum._count(i, tuple(sorted(a)), budget, swaps)
+            sub = enum._count(i, _mask(a), budget, swaps)
             if skip >= sub:
                 skip -= sub
                 continue
@@ -452,8 +506,8 @@ def _reference_walk(enum, start, count):
                 yield _materialize(enum, cols)
             else:
                 yield from walk(i + 1, (
-                    (ch.new_a, budget - ch.cost,
-                     min(MAX_BUDGET, swaps + ch.swaps))
+                    (_successor(a, ch), budget - ch[1],
+                     min(MAX_BUDGET, swaps + ch[2]))
                     for ch in _column_choices(a, budget, enum.d)
                 ), skip, cols)
             cols.pop()
@@ -462,7 +516,7 @@ def _reference_walk(enum, start, count):
             raise EnumerationError("offset out of range")
 
     stop = min(start + count, enum.total())
-    roots = ((a1, budget, 0) for a1, budget in enum._roots())
+    roots = ((a1, budget, 0) for a1, budget in _reference_roots(enum))
     return [t for _, t in zip(range(start, stop), walk(0, roots, start, []))]
 
 
