@@ -24,7 +24,6 @@ from .enumeration import (
     EnumerationError,
     TableEnumerator,
     count_small_oracle,
-    enumerate_tables,
 )
 from .fixtures import g22_example
 from .multidegree import (

@@ -2,10 +2,11 @@
 
 A chain is an ordered list of smooth components Z_1, ..., Z_N, each of genus
 0 or 1, with Q_i glued to P_{i+1}.  The total genus is the number of genus-1
-components.  Optional node weights l_1, ..., l_{M-1} record, abstractly, the
-number of nodes separating consecutive genus-1 components; they carry the
-"left-weighted" degeneration data and are not cross-checked against actual
-genus-0 insertions.
+components.  A chain carries no node weights: the left-weighted hypothesis of
+the disjoint and 3-cycle cases is a condition on weights l_1, ..., l_{M-1}
+between consecutive genus-1 components, and verdicts report the minimal such
+weights, ``left_weighted_weights(chain, d)``, which depend only on g and d.
+``is_left_weighted`` is the defining inequality on a weight tuple.
 """
 
 from __future__ import annotations
@@ -22,23 +23,12 @@ class ChainCurve:
     """An ordered chain of genus-0/1 components, leftmost first."""
 
     genera: tuple[int, ...]
-    node_weights: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if len(self.genera) == 0:
             raise ChainError("chain needs at least one component")
         if any(g not in (0, 1) for g in self.genera):
             raise ChainError("component genera must be 0 or 1")
-        if self.node_weights is not None:
-            m = self.genus
-            if self.genera[0] != 1 or self.genera[-1] != 1:
-                raise ChainError("node weights require genus-1 end components")
-            if len(self.node_weights) != m - 1:
-                raise ChainError(
-                    f"expected {m - 1} node weights, got {len(self.node_weights)}"
-                )
-            if any(w < 1 for w in self.node_weights):
-                raise ChainError("node weights must be positive")
 
     @property
     def n_components(self) -> int:
@@ -54,30 +44,9 @@ class ChainCurve:
             raise ChainError(f"component index {i} out of range")
         return sum(self.genera[:i])
 
-    @property
-    def is_pure_elliptic(self) -> bool:
-        return all(g == 1 for g in self.genera)
-
-    def with_weights(self, weights: tuple[int, ...]) -> "ChainCurve":
-        return ChainCurve(self.genera, tuple(weights))
-
-    def to_json(self) -> dict:
-        out: dict = {"genera": list(self.genera)}
-        if self.node_weights is not None:
-            out["node_weights"] = list(self.node_weights)
-        return out
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChainCurve":
-        weights = obj.get("node_weights")
-        return cls(
-            tuple(obj["genera"]),
-            tuple(weights) if weights is not None else None,
-        )
-
 
 def build_elliptic_chain(g: int) -> ChainCurve:
-    """Pure chain of g genus-1 components, with no node weights."""
+    """Pure chain of g genus-1 components."""
     if g < 1:
         raise ChainError(f"genus must be positive, got {g}")
     return ChainCurve((1,) * g)
@@ -104,13 +73,10 @@ def left_weighted_weights(chain: ChainCurve, d: int) -> tuple[int, ...]:
     return tuple(reversed(weights))
 
 
-def is_left_weighted(chain: ChainCurve, d: int) -> bool:
+def is_left_weighted(weights: tuple[int, ...], d: int) -> bool:
     """True iff l_i >= 4d * (l_{i+1} + ... + l_{M-1}) for every i."""
-    if chain.node_weights is None:
-        raise ChainError("chain has no node weights")
-    ws = chain.node_weights
     suffix = 0
-    for w in reversed(ws):
+    for w in reversed(weights):
         if w < 4 * d * suffix:
             return False
         suffix += w

@@ -115,6 +115,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 
+from .enumeration import _bits
 from .multidegree import MultidegreeError, TwistVector, degrees_unimaginative
 from .table import VanishingTable, pair_list
 from .tensor import PotentialSection, pair_positions, section_runs
@@ -124,16 +125,6 @@ CERTIFICATE_VERSION = 1
 
 class MalformedCertificate(ValueError):
     pass
-
-
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class DropContext:
@@ -155,7 +146,7 @@ class DropContext:
 
     __slots__ = (
         "table_hash", "w", "n", "d2", "genera", "degree", "delta", "exc",
-        "sections", "pair_of", "ta", "tb", "blocks", "dd_pair", "cover",
+        "sections", "pair_of", "ta", "tb", "dd_pair", "cover",
         "starts", "ends", "reach",
     )
 
@@ -207,7 +198,6 @@ class DropContext:
                 # interior from u+1 to v must all have degree 2
                 if degree[v] != 2:
                     break
-        self.blocks = list(reach)
 
 
 def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
@@ -282,10 +272,10 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     """The drop that `rule` allows at `where` in state `alive`, or None.
 
     `where` is a 0-based column for rules i and ii and a 0-based block
-    (u, v) from `ctx.blocks` for rule iii; `anchored` restricts rule iii to
-    blocks with live sections at both endpoints.  The drop is returned as
-    (side, mask of the sections dropped), where side is the minimum ("a" or
-    "b") that rule i used and None for the other rules.
+    (u, v), a key of `ctx.reach`, for rule iii; `anchored` restricts rule
+    iii to blocks with live sections at both endpoints.  The drop is
+    returned as (side, mask of the sections dropped), where side is the
+    minimum ("a" or "b") that rule i used and None for the other rules.
     """
     if rule == "iii":
         return _rule_iii(ctx, alive, where, anchored)
@@ -349,8 +339,8 @@ def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
     # live sections at both endpoints, then the liberal rule (iii); each
     # place carries the mask its rule reads the state through
     fallbacks = ([("ii", x, False, cover[x]) for x in range(n)]
-                 + [("iii", b, True, ctx.reach[b]) for b in ctx.blocks]
-                 + [("iii", b, False, ctx.reach[b]) for b in ctx.blocks])
+                 + [("iii", b, True, reads) for b, reads in ctx.reach.items()]
+                 + [("iii", b, False, reads) for b, reads in ctx.reach.items()])
     # the masked state at which _find last found nothing at each place; an
     # empty state finds nothing anywhere, so 0 serves as the start value
     idle_i = [0] * n
@@ -396,9 +386,6 @@ class DropCertificate:
     w: TwistVector
     steps: tuple[dict, ...]
     version: int = CERTIFICATE_VERSION
-
-    def rule_iii_blocks(self) -> list[tuple[int, int]]:
-        return [(s["start"], s["end"]) for s in self.steps if s["rule"] == "iii"]
 
     def to_json(self) -> dict:
         return {

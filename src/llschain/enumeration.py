@@ -182,7 +182,8 @@ def _column_choices(a: Sequence[int], budget: int, d: int) -> list[_Choice]:
 
 
 def _bits(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending: a state's row values, sorted."""
+    """The indices of the set bits of ``mask``, ascending: for a state's
+    mask, its row values, sorted."""
     vals = []
     while mask:
         low = mask & -mask
@@ -407,18 +408,6 @@ class TableEnumerator:
         return self.sample_indices(n, seed)[:limit]
 
 
-def enumerate_tables(g: int, r: int, d: int, rho_max: int | None = None,
-                     mode: str = "exhaustive", n: int | None = None,
-                     seed: int | None = None,
-                     stratum: str = "all") -> Iterator[VanishingTable]:
-    """Stream valid tables, exhaustively or as a seeded uniform sample: the
-    tables of :meth:`TableEnumerator.run_indices`, checked and counted
-    before this returns."""
-    enum = TableEnumerator(g, r, d, rho_max, stratum)
-    pairs = enum.iter_indices(enum.run_indices(mode, n, seed, None))
-    return (table for _, table in pairs)
-
-
 class OracleSpaceTooLarge(EnumerationError):
     pass
 
@@ -433,8 +422,6 @@ def count_small_oracle(g: int, r: int, d: int, rho_max: int,
     budget.  Only for small search spaces; raises once ``node_limit``
     internal nodes are visited.
     """
-    from itertools import combinations
-
     chain = build_elliptic_chain(g)
     rows = r + 1
     nodes = 0

@@ -413,16 +413,16 @@ def table_from_lambda(chain: ChainCurve, r: int, d: int, a1,
     return table_from_columns(chain, r, d, a_cols, b_cols)
 
 
-def validate_table(table: VanishingTable,
-                   allow_exceptional_genus0: bool = False) -> None:
+def validate_table(table: VanishingTable) -> None:
     """Check every table invariant, raising on the first violation.
 
     Columns are reported 1-based.  Genus-1 columns admit at most one row of
-    sum d; genus-0 columns must have every row at sum d unless
-    ``allow_exceptional_genus0`` is set.  The phases run in a fixed order:
-    per-column checks (height, signs, duplicates, sums) column by column,
-    then first-column order, then refinedness, then genericity; all but the
-    order and refinedness phases read the cached :class:`Column` verdicts.
+    sum d; genus-0 columns must have every row at sum d, so a genus-0
+    column with a row below d raises GenericityViolation.  The phases run
+    in a fixed order: per-column checks (height, signs, duplicates, sums)
+    column by column, then first-column order, then refinedness, then
+    genericity; all but the order and refinedness phases read the cached
+    :class:`Column` verdicts.
     """
     n, r, d = table.n_columns, table.r, table.d
     if n != table.chain.n_components:
@@ -441,7 +441,7 @@ def validate_table(table: VanishingTable,
             raise CanonicalOrderViolation("first column must be strictly increasing")
     _check_refined(table)
     for i, col in enumerate(cols, 1):
-        if col.generic and not (allow_exceptional_genus0 and col.genus != 1):
+        if col.generic:
             raise GenericityViolation(i, col.generic)
 
 

@@ -399,6 +399,9 @@ def _load_checkpoint(config: FamilyConfig) -> dict:
         obj = json.load(fh)
     if obj.get("spec") != _checkpoint_spec(config):
         raise ValueError("checkpoint does not match this run")
+    if obj.get("out_bytes") is not None and not config.out_path:
+        # the stream hash covers lines that only that file holds
+        raise ValueError("checkpoint records a verdict file; resume with --out")
     return obj
 
 

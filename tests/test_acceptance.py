@@ -2,10 +2,12 @@
 
 Scale is controlled by LLSCHAIN_ACCEPTANCE (quick | standard | full):
 
-  quick     small deterministic slices, a couple of minutes end to end;
+  quick     small deterministic slices; the whole tier-1 run (unit tests
+            included) took 77 s on 2 vCPU under Python 3.11.7;
   standard  the default: exact full-family counts plus verification of
             deterministic slices and uniform seeded samples totalling a few
-            hundred thousand tables (roughly 10-15 minutes on one core);
+            hundred thousand tables; the whole tier-1 run took 184-191 s over
+            two runs on the same host;
   full      the complete configurations: exhaustive (21,6,24); exhaustive
             swap-bearing (22,6,25) (128,035,908 tables) plus a 10^7
             swap-free sample; exhaustive two-swap (23,6,26) (6,201,981,786
@@ -128,7 +130,8 @@ def test_criterion_1_golden_example():
 
     result = drop_all(ctx)
     assert result.success
-    assert set(result.certificate.rule_iii_blocks()) == {(5, 6), (7, 16), (17, 18)}
+    assert {(s["start"], s["end"]) for s in result.certificate.steps
+            if s["rule"] == "iii"} == {(5, 6), (7, 16), (17, 18)}
     _announce("1", "g22 example: default w exact, 29 sections, blocks 5-6/7-16/17-18")
 
 

@@ -14,13 +14,11 @@ def test_build_elliptic_chain_g22():
     assert chain.n_components == 22
     assert chain.genus == 22
     assert all(g == 1 for g in chain.genera)
-    assert chain.node_weights is None
 
 
 def test_build_elliptic_chain_smallest():
     chain = build_elliptic_chain(1)
     assert chain.n_components == 1
-    assert chain.node_weights is None
 
 
 def test_genus_prefix_pure_chain():
@@ -38,7 +36,7 @@ def test_genus_zero_insertions_prefix():
     chain = ChainCurve((1, 0, 0, 1, 0, 1))
     assert chain.genus == 3
     assert [chain.genus_prefix(i) for i in range(7)] == [0, 1, 1, 1, 2, 2, 3]
-    assert not chain.is_pure_elliptic
+    assert not all(g == 1 for g in chain.genera)
 
 
 def test_chain_validation():
@@ -46,12 +44,6 @@ def test_chain_validation():
         ChainCurve(())
     with pytest.raises(ChainError):
         ChainCurve((1, 2))
-    with pytest.raises(ChainError):
-        ChainCurve((0, 1), node_weights=())  # first component must have genus 1
-    with pytest.raises(ChainError):
-        ChainCurve((1, 1), node_weights=(0,))
-    with pytest.raises(ChainError):
-        ChainCurve((1, 1, 1), node_weights=(1,))
 
 
 def test_left_weighted_weights_examples():
@@ -61,9 +53,8 @@ def test_left_weighted_weights_examples():
 
 
 def test_is_left_weighted_boundary():
-    chain = build_elliptic_chain(3)
-    assert is_left_weighted(chain.with_weights((100, 1)), 25)
-    assert not is_left_weighted(chain.with_weights((99, 1)), 25)
+    assert is_left_weighted((100, 1), 25)
+    assert not is_left_weighted((99, 1), 25)
 
 
 def test_left_weighted_round_trip():
@@ -73,34 +64,25 @@ def test_left_weighted_round_trip():
             ws = left_weighted_weights(chain, d)
             assert len(ws) == m - 1
             assert all(w >= 1 for w in ws)
-            assert is_left_weighted(chain.with_weights(ws), d)
+            assert is_left_weighted(ws, d)
 
 
 def test_left_weighted_minimality():
     # decreasing any single weight breaks the defining inequality
-    chain = build_elliptic_chain(5)
-    ws = left_weighted_weights(chain, 7)
+    ws = left_weighted_weights(build_elliptic_chain(5), 7)
     for k in range(len(ws) - 1):  # the final 1 cannot go lower anyway
         smaller = list(ws)
         smaller[k] -= 1
-        assert not is_left_weighted(chain.with_weights(tuple(smaller)), 7)
+        assert not is_left_weighted(tuple(smaller), 7)
 
 
 def test_left_weighted_scaling_invariance():
-    chain = build_elliptic_chain(6)
-    ws = left_weighted_weights(chain, 11)
+    ws = left_weighted_weights(build_elliptic_chain(6), 11)
     for e in (1, 2, 3, 10):
         scaled = tuple(e * w for w in ws)
-        assert is_left_weighted(chain.with_weights(scaled), 11)
+        assert is_left_weighted(scaled, 11)
 
 
-def test_left_weighted_requires_weights():
-    with pytest.raises(ChainError):
-        is_left_weighted(ChainCurve((1, 1)), 5)
+def test_left_weighted_needs_two_components():
     with pytest.raises(ChainError):
         left_weighted_weights(build_elliptic_chain(1), 5)
-
-
-def test_chain_json_round_trip():
-    chain = ChainCurve((1, 0, 1), node_weights=(2,))
-    assert ChainCurve.from_json(chain.to_json()) == chain

@@ -193,6 +193,26 @@ def test_cli_verify_sampled_resumes_after_hard_kills(tmp_path):
     _assert_resumes_after_hard_kills(tmp_path, random.Random(14), run, 4000)
 
 
+def test_cli_verify_refuses_resume_without_out(capsys, tmp_path):
+    # a run that wrote --out resumes only with --out: without it the stream
+    # hash would cover lines that the file never gets
+    ck, out = tmp_path / "ck", tmp_path / "a.jsonl"
+    family = ["verify", "--g", "21", "--d", "24", "--rho-max", "0",
+              "--checkpoint", str(ck)]
+    assert main([*family, "--limit", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    saved, written = ck.read_bytes(), out.read_bytes()
+    assert main([*family, "--limit", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--out" in captured.err
+    assert ck.read_bytes() == saved and out.read_bytes() == written
+    assert main([*family, "--limit", "40", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["resumed_from"] == 20 and report["verified"] == 40
+    assert out.read_bytes().count(b"\n") == 40
+
+
 def test_cli_left_weighted(capsys):
     assert main(["left-weighted", "--g", "4", "--d", "25"]) == 0
     assert capsys.readouterr().out.strip() == "10100,100,1"

@@ -63,7 +63,7 @@ def _all_actions(ctx, alive):
     form, as (rule, where, side, mask) in place order: rule (i) at each
     column, rule (ii) at each column, rule (iii) on each block."""
     places = ([("i", x) for x in range(ctx.n)] + [("ii", x) for x in range(ctx.n)]
-              + [("iii", b) for b in ctx.blocks])
+              + [("iii", b) for b in ctx.reach])
     for rule, where in places:
         found = _find(ctx, alive, rule, where)
         if found is not None:
@@ -101,7 +101,8 @@ def test_drop_g22_blocks_exact():
     secs = ctx.sections
     result = drop_all(ctx)
     assert result.success
-    assert set(result.certificate.rule_iii_blocks()) == {(5, 6), (7, 16), (17, 18)}
+    assert {(s["start"], s["end"]) for s in result.certificate.steps
+            if s["rule"] == "iii"} == {(5, 6), (7, 16), (17, 18)}
     assert replay_certificate(result.certificate, ctx)
     # every section dropped exactly once
     dropped = []
@@ -443,8 +444,8 @@ def _reference_greedy(ctx, alive, steps):
     n = ctx.n
     sweep = [*range(n), *reversed(range(n))]
     fallbacks = ([("ii", x, False) for x in range(n)]
-                 + [("iii", b, True) for b in ctx.blocks]
-                 + [("iii", b, False) for b in ctx.blocks])
+                 + [("iii", b, True) for b in ctx.reach]
+                 + [("iii", b, False) for b in ctx.reach])
     while alive:
         progress = False
         for x in sweep:

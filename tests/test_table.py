@@ -100,13 +100,14 @@ def test_genus0_column_rules():
     a = [(0, 1), (1, 2), (1, 2)]
     b = [(2, 1), (2, 1), (1, 0)]
     validate_table(table_from_columns(chain, 1, 3, a, b))
-    # a genus-0 row below sum d needs the explicit flag
+    # a genus-0 row below sum d is refused; genericity is the last phase,
+    # so the table passes every other check
     a2 = [(0, 1), (1, 2), (1, 3)]
     b2 = [(2, 1), (2, 0), (1, 0)]
     t2 = table_from_columns(chain, 1, 3, a2, b2)
-    with pytest.raises(GenericityViolation):
+    with pytest.raises(GenericityViolation) as err:
         validate_table(t2)
-    validate_table(t2, allow_exceptional_genus0=True)
+    assert err.value.column == 2
 
 
 def test_lambda_of_rho0_rectangle():
@@ -359,7 +360,7 @@ def test_json_genera_must_list_one_int_per_column():
 # -- interned columns against the whole-table oracles -------------------------
 
 
-def _reference_validate(table, allow_exceptional_genus0=False):
+def _reference_validate(table):
     """validate_table as it read before columns were interned."""
     n, r, d = table.n_columns, table.r, table.d
     if n != table.chain.n_components:
@@ -395,7 +396,7 @@ def _reference_validate(table, allow_exceptional_genus0=False):
         if table.chain.genera[i] == 1:
             if full > 1:
                 raise GenericityViolation(i + 1, "two rows of sum d in a genus-1 column")
-        elif full != r + 1 and not allow_exceptional_genus0:
+        elif full != r + 1:
             raise GenericityViolation(i + 1, "genus-0 column with a row below sum d")
 
 
@@ -406,10 +407,10 @@ def _reference_tensor(table):
     return TensorTable(table, pairs, ta, tb)
 
 
-def _outcome(check, table, allow):
+def _outcome(check, table):
     """(exception type, column, row, message) of a validation, or None."""
     try:
-        check(table, allow)
+        check(table)
     except TableError as err:
         return (type(err), getattr(err, "column", None),
                 getattr(err, "row", None), str(err))
@@ -447,15 +448,24 @@ def refined_tables(draw):
 @st.composite
 def oracle_tables(draw):
     table = draw(st.one_of(enumerated_tables(), refined_tables()))
-    if draw(st.booleans()):
+    change = draw(st.sampled_from(("none", "entry", "first rows")))
+    a = [list(col) for col in table.a]
+    b = [list(col) for col in table.b]
+    if change == "entry":
         # one entry moved: breaks refinedness, makes duplicates, negative
-        # orders, sums above d or an unsorted first column
-        a = [list(col) for col in table.a]
-        b = [list(col) for col in table.b]
+        # orders, sums above d or, rarely, an unsorted first column
         side = draw(st.sampled_from((a, b)))
         i = draw(st.integers(0, table.n_columns - 1))
         j = draw(st.integers(0, table.r))
         side[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+    elif change == "first rows" and table.r:
+        # two adjacent rows of the first column exchanged in a and b: the
+        # column's own checks still hold, so the first-column order is the
+        # first check to fail unless another column fails its own
+        j = draw(st.integers(0, table.r - 1))
+        for col in (a[0], b[0]):
+            col[j], col[j + 1] = col[j + 1], col[j]
+    if change != "none":
         table = table_from_columns(table.chain, table.r, table.d, a, b)
     return table
 
@@ -467,9 +477,7 @@ def test_interned_columns_match_oracles(table):
     assert table.swaps == tuple(find_swaps(table))
     assert table.exceptional == frozenset(exceptional_rows(table))
     assert build_tensor_table(table) == _reference_tensor(table)
-    for allow in (False, True):
-        assert _outcome(validate_table, table, allow) == \
-            _outcome(_reference_validate, table, allow)
+    assert _outcome(validate_table, table) == _outcome(_reference_validate, table)
 
 
 def test_oracle_tables_reach_every_outcome():
@@ -479,7 +487,7 @@ def test_oracle_tables_reach_every_outcome():
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(oracle_tables())
     def collect(table):
-        outcome = _outcome(_reference_validate, table, False)
+        outcome = _outcome(_reference_validate, table)
         seen.add(outcome and outcome[0])
         if outcome is None:
             seen.add(("refined", any(g == 0 for g in table.chain.genera)))
