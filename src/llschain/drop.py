@@ -23,8 +23,9 @@ Dropping everything certifies linear independence of the sections.  The
 engine runs one deterministic greedy schedule (left and right rule-(i)
 sweeps, then rule (ii), then rule-(iii) blocks with live sections at both
 endpoints, then the liberal rule (iii), to a fixpoint) and records every
-drop in a replayable certificate.  Whether it empties a state does not
-depend on that order, by the following lemma.
+drop as a move, from which a replayable certificate is rendered on demand.
+Whether it empties a state does not depend on that order, by the following
+lemma.
 
 Monotonicity lemma.  Let every row of every column sum to at most d
 (a_j + b_j <= d, which `validate_table` checks).  If `_find` allows a drop
@@ -73,23 +74,38 @@ and it sees the sections one way only: as bitmasks, bit i standing for
 `sections[i]`, the `(row, start, end)` key a step names it by.  A state is
 the mask of the live sections.  The greedy schedule and replay both ask
 one primitive, `_find`, which drop a rule allows at a column or block in a
-given state; it answers (side, mask), the mask of the sections to drop.  `_step` alone writes certificate steps.  A certificate is bound
-to the hash of its table and to `w`, and replay checks that binding against
-the context it replays on; it accepts a certificate iff each step is
-exactly the drop its rule allows at that place at that moment (same rule,
-same side, same set of sections) and nothing remains at the end.
+given state; it answers (side, mask), the mask of the sections to drop.
+
+Moves and certificates.  The greedy records each drop as a move, the tuple
+``(rule, where, side, mask)`` with `where` and (side, mask) exactly as
+`_find` took and returned them, and `drop_all` returns the moves.  A
+certificate is the moves rendered as JSON-ready steps, one `_step` dict per
+move with 1-based places and each section named by its key; `_step` alone
+writes steps, and `DropResult.certificate` calls it only when the
+certificate is first read, so a run that writes no certificate builds no
+step.  A certificate is bound to the hash of its table and to `w`.
+
+Replay is a reader plus one judge.  The judge, `_replay(ctx, moves)`,
+starts from the full state, asks `_find` for each move's rule at its place
+in the current state, requires exactly the move's side and mask, removes
+the mask, and requires the empty state at the end.  It keeps no record of
+the greedy's and reads no state the greedy tracked, so judging the greedy's
+own moves re-derives every drop.  `replay_certificate` checks the version
+and the binding to the context's table hash and `w`, and hands the judge
+the moves its reader reads off the steps.
 
 Building a context is linear in columns and sections: the masks come from
 one pass over the sections' ends, and `cover` from one running OR over the
-columns.  Replay reads each step in one pass, in line: its rule, its place
-and then each section, type-checking every field (an int is exactly an int,
-a row exactly a list of two ints) and or-ing each section's bit from one
-key-to-bit map into the step's mask.  A section the context does not hold,
-or one named twice, marks the step rejected, but the rest of the step is
-still read, so a malformed field anywhere in a step raises
-MalformedCertificate whether or not the step would be rejected.  The step
-is then judged: its place must lie in the chain (rule iii: be a block the
-context considers), and its side and mask must equal what `_find` returns.
+columns.  The reader, `_read_moves`, reads each step in one pass: its rule,
+its place and then each section, type-checking every field (an int is
+exactly an int, a row exactly a list of two ints) and or-ing each section's
+bit from one key-to-bit map into the move's mask.  A section the context
+does not hold, or one named twice, or a place outside the chain (rule iii:
+a block the context does not consider) makes the step a rejected move,
+None, but the rest of the step is still read, so a malformed field anywhere
+in a step raises MalformedCertificate whether or not the step would be
+rejected.  The reader yields one move at a time and the judge stops at the
+first move it rejects, so a step after a rejected one is never read.
 
 A certificate's JSON text is written by `DropCertificate.to_text` in sorted
 key order, each section's fragment `{"end":..,"row":[..],"start":..}` taken
@@ -102,8 +118,8 @@ sections meeting it.  Its answer is a function of that masked state.  The
 greedy schedule records, per place, the masked state at which `_find` last
 found nothing there, and skips the place while that state is unchanged:
 the skipped call would find nothing again, so the schedule, and with it
-every certificate, is the one the greedy without skips produces.  Replay
-keeps no such record and asks `_find` at every step.
+every move list, is the one the greedy without skips produces.  The judge
+keeps no such record and asks `_find` at every move.
 Where a rule needs section indices (the minima of rule i, the rows of rule
 ii, the JSON of a step) it walks the set bits in ascending order, so a
 step lists its sections in index order.
@@ -332,7 +348,10 @@ def _step(ctx: DropContext, rule: str, where, side, mask: int) -> dict:
     return {"rule": "iii", "start": u + 1, "end": v + 1, "sections": secs}
 
 
-def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
+def _greedy(ctx: DropContext, alive: int, moves: list[tuple]) -> int:
+    """Run the greedy schedule from state `alive`, appending each drop to
+    `moves` as the move ``(rule, where, side, mask)`` `_find` found, and
+    return the state it stalls in (0 when it empties `alive`)."""
     n, cover = ctx.n, ctx.cover
     sweep = [*range(n), *reversed(range(n))]
     # after the rule-(i) sweeps stall: rule (ii), then blocks anchored by
@@ -351,7 +370,7 @@ def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
             if alive & cover[x] == idle_i[x]:
                 continue
             while (found := _find(ctx, alive, "i", x)) is not None:
-                steps.append(_step(ctx, "i", x, *found))
+                moves.append(("i", x, *found))
                 alive &= ~found[1]
                 progress = True
             idle_i[x] = alive & cover[x]
@@ -362,7 +381,7 @@ def _greedy(ctx: DropContext, alive: int, steps: list[dict]) -> int:
                 continue
             found = _find(ctx, alive, rule, where, anchored)
             if found is not None:
-                steps.append(_step(ctx, rule, where, *found))
+                moves.append((rule, where, *found))
                 alive &= ~found[1]
                 break
             idle[k] = alive & reads
@@ -443,42 +462,66 @@ class DropCertificate:
 
 @dataclass
 class DropResult:
+    """The greedy's outcome on one context: whether it emptied the state, its
+    moves ``(rule, where, side, mask)`` in order, and the sections it left
+    stuck.  ``certificate`` is rendered from the moves through `_step` when
+    it is first read, and is None unless the greedy succeeded."""
+
     success: bool
-    certificate: DropCertificate | None
+    context: DropContext = field(repr=False, compare=False)
+    moves: list[tuple]
     remaining: list[PotentialSection] = field(default_factory=list)
+
+    @functools.cached_property
+    def certificate(self) -> DropCertificate | None:
+        if not self.success:
+            return None
+        ctx = self.context
+        return DropCertificate(ctx.table_hash, ctx.w,
+                               tuple([_step(ctx, *move) for move in self.moves]))
 
 
 def drop_all(ctx: DropContext) -> DropResult:
     """Try to drop every section of `ctx` by the greedy schedule; failure is
     a value, not an error.  By the monotonicity lemma (module docstring) no
     other rule order empties a state the greedy leaves stuck."""
-    steps: list[dict] = []
-    stuck = _greedy(ctx, (1 << len(ctx.sections)) - 1, steps)
+    moves: list[tuple] = []
+    stuck = _greedy(ctx, (1 << len(ctx.sections)) - 1, moves)
     if stuck:
-        return DropResult(False, None, [ctx.sections[i] for i in _bits(stuck)])
-    return DropResult(True, DropCertificate(ctx.table_hash, ctx.w, tuple(steps)))
+        return DropResult(False, ctx, moves,
+                          [ctx.sections[i] for i in _bits(stuck)])
+    return DropResult(True, ctx, moves)
 
 
-def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
-    """Re-run a certificate step by step against the drop rules.
+def _replay(ctx: DropContext, moves) -> bool:
+    """The judge: True iff, from the full state of `ctx`, each move
+    ``(rule, where, side, mask)`` is exactly the drop `_find` allows at its
+    place in the state the moves before it leave (rule iii in its liberal
+    form), and the moves leave the state empty.  A move of None, a step the
+    reader could not place, is rejected.  `moves` is consumed one move at a
+    time, so a move is judged before the next one is read."""
+    alive = (1 << len(ctx.sections)) - 1
+    for move in moves:
+        if move is None:
+            return False
+        rule, where, side, mask = move
+        if _find(ctx, alive, rule, where) != (side, mask):
+            return False
+        alive &= ~mask
+    return alive == 0
 
-    True iff the certificate is bound to the context's table hash and `w`,
-    each step is exactly the drop its rule allows at that place at that
-    moment (same side, same set of sections), and the final state is empty.
-    A step's sections are compared as a mask: a key the context does not
-    hold, or one named twice, rejects the step.  Raises MalformedCertificate
-    for a version other than the int CERTIFICATE_VERSION, or for a step that
-    cannot be read: every field of a step is read, and checked, before the
-    step is judged.
+
+def _read_moves(cert: DropCertificate, ctx: DropContext):
+    """The reader: the move each step of `cert` names, one step at a time.
+
+    Every field of a step is read, and type-checked, before its move is
+    yielded, so a malformed field anywhere in a step raises
+    MalformedCertificate.  A step placed outside the chain (rule iii: on a
+    block the context does not consider), or naming a section the context
+    does not hold, or one twice, yields None.
     """
-    version = cert.version
-    if type(version) is not int or version != CERTIFICATE_VERSION:
-        raise MalformedCertificate(f"unsupported version {version!r}")
-    if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
-        return False
     bit_of = {key: 1 << i for i, key in enumerate(ctx.sections)}
     n, reach = ctx.n, ctx.reach
-    alive = (1 << len(ctx.sections)) - 1
     for step in cert.steps:
         try:
             rule = step["rule"]
@@ -513,13 +556,28 @@ def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
             raise MalformedCertificate(f"bad step {step!r}: {err}") from err
         if rule == "iii":
             where = (u - 1, v - 1)
-            if where not in reach:
-                return False
-        elif 1 <= x <= n:
-            where = x - 1
+            placed = where in reach
         else:
-            return False
-        if not held or _find(ctx, alive, rule, where) != (side, mask):
-            return False
-        alive &= ~mask
-    return alive == 0
+            where = x - 1
+            placed = 1 <= x <= n
+        yield (rule, where, side, mask) if placed and held else None
+
+
+def replay_certificate(cert: DropCertificate, ctx: DropContext) -> bool:
+    """Re-run a certificate step by step against the drop rules.
+
+    True iff the certificate is bound to the context's table hash and `w`,
+    each step is exactly the drop its rule allows at that place at that
+    moment (same side, same set of sections), and the final state is empty.
+    A step's sections are compared as a mask: a key the context does not
+    hold, or one named twice, rejects the step.  Raises MalformedCertificate
+    for a version other than the int CERTIFICATE_VERSION, or for a step that
+    cannot be read: every field of a step is read, and checked, before the
+    step is judged, and a step after a rejected one is not read.
+    """
+    version = cert.version
+    if type(version) is not int or version != CERTIFICATE_VERSION:
+        raise MalformedCertificate(f"unsupported version {version!r}")
+    if cert.table_hash != ctx.table_hash or cert.w != ctx.w:
+        return False
+    return _replay(ctx, _read_moves(cert, ctx))

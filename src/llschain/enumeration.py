@@ -387,7 +387,7 @@ class TableEnumerator:
                     limit: int | None) -> range | list[int]:
         """The indices a run covers, in stream order: ``range(total)`` for an
         exhaustive run or the seeded sample of ``n`` for a sampled one, cut
-        to its first ``limit``.
+        to its first ``limit``.  An exhaustive run takes no ``n``.
 
         The arguments are checked before the family is counted, so a caller
         can reject bad ones before it creates any output.  A run that stops
@@ -399,6 +399,10 @@ class TableEnumerator:
                 f"mode must be exhaustive or sampled, got {mode!r}")
         if mode == "sampled" and (n is None or seed is None):
             raise EnumerationError("sampled mode needs n and seed")
+        if mode != "sampled" and n is not None:
+            raise EnumerationError(
+                "n is a sample size, for sampled mode only; cut an exhaustive "
+                "run with limit (--limit)")
         if n is not None and n < 0:
             raise EnumerationError(f"n must be non-negative, got {n}")
         if limit is not None and limit < 0:

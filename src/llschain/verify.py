@@ -33,7 +33,17 @@ along the way.  Each chunk fills one, the run merges them in stream order,
 the checkpoint saves the merged tally and ``Report`` extends it; a
 checkpoint of an older layout does not match any run.
 
-A verdict line is ``json.dumps(verdict.to_json(c), sort_keys=True,
+A run's ``--emit-certs`` choice reaches each table as
+``verify_table(table, index, with_certificate)``.  A verdict holds a
+certificate only if one is to be written, and always the step count of a
+pass.  With certificates, a passing candidate's certificate is rendered
+and replayed by ``replay_certificate``; without, its greedy moves are
+judged in line by the same judge, which re-derives each drop from the full
+state, so only the rendering of the steps, which such a line never holds,
+goes unchecked.  The line then carries ``certificate_steps`` in place of
+``certificate``, and is otherwise the same.
+
+A verdict line is ``json.dumps(verdict.to_json(), sort_keys=True,
 separators=(",", ":"))``, but ``Verdict.to_line`` writes it without
 building that dict: it spells the keys out in sorted order, formats ints
 with ``%d``, takes the class and ``w`` texts cached on their frozen
@@ -56,7 +66,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .chain import left_weighted_weights
-from .drop import DropCertificate, DropContext, drop_all, replay_certificate
+from .drop import DropCertificate, DropContext, _replay, drop_all, replay_certificate
 from .enumeration import TableEnumerator
 from .multidegree import TwistVector, iter_candidate_multidegrees
 from .table import (
@@ -92,6 +102,7 @@ class Verdict:
     passing: bool
     w: TwistVector | None
     certificate: DropCertificate | None
+    certificate_steps: int | None
     side_condition: str
     left_weighted_required: bool
     left_weighted_min: tuple[int, ...] | None
@@ -101,7 +112,7 @@ class Verdict:
     diagnostics: tuple[str, ...] = ()
     index: int | None = None
 
-    def to_json(self, with_certificate: bool = False) -> dict:
+    def to_json(self) -> dict:
         out: dict = {
             "table": self.table_hash,
             "class": self.degeneracy.to_json(),
@@ -120,21 +131,21 @@ class Verdict:
             out["violations"] = list(self.invariant_violations)
         if self.diagnostics:
             out["diagnostics"] = list(self.diagnostics)
-        if with_certificate and self.certificate is not None:
+        if self.certificate is not None:
             out["certificate"] = self.certificate.to_json()
-        elif self.certificate is not None:
-            out["certificate_steps"] = len(self.certificate.steps)
+        elif self.certificate_steps is not None:
+            out["certificate_steps"] = self.certificate_steps
         return out
 
-    def to_line(self, with_certificate: bool = False) -> str:
+    def to_line(self) -> str:
         """The JSONL line of :meth:`to_json`, that is
-        ``json.dumps(self.to_json(with_certificate), sort_keys=True,
-        separators=(",", ":"))``, spelled out key by key in sorted order."""
-        cert = self.certificate
+        ``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
+        spelled out key by key in sorted order."""
         parts = []
-        if cert is not None:
-            parts.append('"certificate":' + cert.to_text() if with_certificate
-                         else '"certificate_steps":%d' % len(cert.steps))
+        if self.certificate is not None:
+            parts.append('"certificate":' + self.certificate.to_text())
+        elif self.certificate_steps is not None:
+            parts.append('"certificate_steps":%d' % self.certificate_steps)
         parts.append('"class":' + self.degeneracy.json_text)
         if self.diagnostics:
             parts.append('"diagnostics":' + json.dumps(list(self.diagnostics),
@@ -221,8 +232,15 @@ def _default_invariants(table: VanishingTable, ctx: DropContext) -> list[str]:
     return out
 
 
-def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
-    """Search the candidate multidegrees for a certified pass."""
+def verify_table(table: VanishingTable, index: int | None = None,
+                 with_certificate: bool = False) -> Verdict:
+    """Search the candidate multidegrees for a certified pass.
+
+    A passing candidate's drops are checked again from the full state: with
+    `with_certificate`, its certificate is rendered and replayed through
+    `replay_certificate`, and the verdict holds it; without, the judge
+    `_replay` re-derives the greedy's moves, and the verdict holds only
+    their count."""
     validate_table(table)
     breakdown = rho_accounting(table)
     klass = classify_degeneracy(table)
@@ -251,20 +269,27 @@ def verify_table(table: VanishingTable, index: int | None = None) -> Verdict:
         if side is None:
             diagnostics.append(f"candidate {pos}: {klass.kind} side condition fails")
             continue
-        if not replay_certificate(result.certificate, context):
+        if with_certificate:
+            certificate = result.certificate
+            replays = replay_certificate(certificate, context)
+        else:
+            certificate = None
+            replays = _replay(context, result.moves)
+        if not replays:
             diagnostics.append(f"candidate {pos}: certificate does not replay")
             continue
-        certificate = result.certificate
+        steps = len(result.moves)
         diagnostics = []  # a passing verdict reports no diagnostics
         break
     else:
-        w, certificate, side = None, None, "none"
+        w, certificate, steps, side = None, None, None, "none"
     return Verdict(
         table_hash=table.hash,
         degeneracy=klass,
-        passing=certificate is not None,
+        passing=steps is not None,
         w=w,
         certificate=certificate,
+        certificate_steps=steps,
         side_condition=side,
         left_weighted_required=lw_required,
         left_weighted_min=lw_min,
@@ -376,8 +401,8 @@ def _verify_chunk(args: tuple) -> tuple[list[str], Tally]:
     lines: list[str] = []
     tally = Tally()
     for idx, table in _worker_enumerator(spec).iter_indices(indices):
-        verdict = verify_table(table, index=idx)
-        lines.append(verdict.to_line(emit_certs))
+        verdict = verify_table(table, index=idx, with_certificate=emit_certs)
+        lines.append(verdict.to_line())
         tally.add(verdict)
     return lines, tally
 

@@ -249,6 +249,15 @@ def test_cli_flag_errors(capsys, tmp_path):
     assert captured.out == ""
     assert "n must be non-negative" in captured.err
     assert not out.exists()
+    # a sample size outside sampled mode is refused, not ignored: the
+    # exhaustive run would cover the whole family
+    for cmd in ("verify", "enumerate"):
+        assert main([cmd, "--g", "21", "--d", "24", "--rho-max", "0",
+                     "--n", "5", "--limit", "3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--limit" in captured.err
+        assert not out.exists()
     # a negative defect budget is refused, not counted as an empty family
     for cmd in ("count", "oracle"):
         assert main([cmd, "--g", "21", "--r", "6", "--d", "24",

@@ -31,6 +31,7 @@ from llschain.drop import (
     _bits,
     _find,
     _greedy,
+    _replay,
     _semicritical,
     _step,
 )
@@ -131,10 +132,9 @@ def test_drop_rho0_default_succeeds():
 def test_single_section_drops_by_rule_i():
     _, w, ctx = g22_setup()
     lone = mask_of(ctx, [s for s in ctx.sections if s.row == (0, 0)])
-    steps = []
-    assert _greedy(ctx, lone, steps) == 0
-    assert len(steps) == 1
-    assert steps[0]["rule"] == "i"
+    moves = []
+    assert _greedy(ctx, lone, moves) == 0
+    assert moves == [("i", moves[0][1], "a", lone)]
 
 
 def semicritical_level(ctx, column, remaining):
@@ -231,6 +231,21 @@ def test_malformed_certificate_raises():
             cert.to_text()
 
 
+def test_replay_judges_a_step_before_reading_the_next():
+    # a rejected step ends the replay, so a malformed step after it is never
+    # read; a malformed step before a rejected one raises
+    table, w, ctx = g22_setup()
+    steps = list(drop_all(ctx).certificate.steps)
+    assert steps[0]["rule"] == "i"
+    outside = dict(steps[0], column=table.n_columns + 1)
+    malformed = {"rule": "iv"}
+    cert = DropCertificate(table.hash, w, (outside, *steps[1:-1], malformed))
+    assert replay_certificate(cert, ctx) is False
+    cert = DropCertificate(table.hash, w, (malformed, outside, *steps[1:]))
+    with pytest.raises(MalformedCertificate):
+        replay_certificate(cert, ctx)
+
+
 def _replay_mutated(ctx, cert, k, step):
     """Replay `cert` with its step k replaced by `step`."""
     steps = list(cert.steps)
@@ -321,7 +336,7 @@ def test_search_certificates_replay():
     samples = [t for _, t in enum.iter_indices(enum.sample_indices(20, seed=12345))]
     lengths, greedy_orders = [], 0
     for table in [g22_example()] + samples:
-        verdict = verify_table(table)
+        verdict = verify_table(table, with_certificate=True)
         ctx = DropContext(table, verdict.w)
         steps = exhaustive_order_search(ctx, (1 << len(ctx.sections)) - 1)
         assert steps is not None
@@ -439,7 +454,7 @@ def test_rule_ii_never_drops_exceptional_rows():
                     assert degs[col - 1] == 2
 
 
-def _reference_greedy(ctx, alive, steps):
+def _reference_greedy(ctx, alive, moves):
     """The greedy schedule asking `_find` at every place on every pass."""
     n = ctx.n
     sweep = [*range(n), *reversed(range(n))]
@@ -450,7 +465,7 @@ def _reference_greedy(ctx, alive, steps):
         progress = False
         for x in sweep:
             while (found := _find(ctx, alive, "i", x)) is not None:
-                steps.append(_step(ctx, "i", x, *found))
+                moves.append(("i", x, *found))
                 alive &= ~found[1]
                 progress = True
         if progress:
@@ -458,7 +473,7 @@ def _reference_greedy(ctx, alive, steps):
         for rule, where, anchored in fallbacks:
             found = _find(ctx, alive, rule, where, anchored)
             if found is not None:
-                steps.append(_step(ctx, rule, where, *found))
+                moves.append((rule, where, *found))
                 alive &= ~found[1]
                 break
         else:
@@ -662,12 +677,49 @@ def test_greedy_skips_only_calls_that_find_nothing():
         instances.append((ctx, (1 << len(ctx.sections)) - 1))
     stuck_seen = 0
     for ctx, alive in instances:
-        steps, ref_steps = [], []
-        stuck = _greedy(ctx, alive, steps)
-        assert stuck == _reference_greedy(ctx, alive, ref_steps)
-        assert steps == ref_steps
+        moves, ref_moves = [], []
+        stuck = _greedy(ctx, alive, moves)
+        assert stuck == _reference_greedy(ctx, alive, ref_moves)
+        assert moves == ref_moves
         stuck_seen += stuck != 0
     assert stuck_seen >= 10
+
+
+def _render(ctx, moves):
+    """The certificate of `moves` on `ctx`, each move rendered by `_step`."""
+    return DropCertificate(ctx.table_hash, ctx.w,
+                           tuple(_step(ctx, *move) for move in moves))
+
+
+def _move_mutations(moves, n_sections):
+    """(kind, mutated copy of `moves`) for each mutation the judge must
+    reject: a move on another side, its mask with one bit added or removed,
+    a move repeated, two adjacent moves of the same rule and place swapped
+    (the first one judged is then not the drop `_find` allows there), and
+    the last move removed."""
+    out = []
+    for k, (rule, where, side, mask) in enumerate(moves):
+        head, tail = moves[:k], moves[k + 1:]
+        out.extend(("side", [*head, (rule, where, other, mask), *tail])
+                   for other in ("a", "b", None) if other != side)
+        out.extend(("bit", [*head, (rule, where, side, mask ^ 1 << i), *tail])
+                   for i in range(n_sections))
+        out.append(("repeat", [*head, moves[k], moves[k], *tail]))
+        if tail and tail[0][:2] == (rule, where):
+            out.append(("swap", [*head, tail[0], moves[k], *tail[1:]]))
+    out.append(("last", moves[:-1]))
+    return out
+
+
+def test_judge_rejects_every_mutated_move_list_of_g22():
+    _, _, ctx = g22_setup()
+    moves = drop_all(ctx).moves
+    assert _replay(ctx, moves)
+    kinds = Counter()
+    for kind, mutated in _move_mutations(moves, len(ctx.sections)):
+        assert not _replay(ctx, mutated), kind
+        kinds[kind] += 1
+    assert set(kinds) == {"side", "bit", "repeat", "swap", "last"}
 
 
 def test_context_rejects_multidegree_that_is_not_unimaginative():
@@ -732,7 +784,7 @@ def test_context_masks_match_reference_at_every_candidate(table):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(family_tables(), st.data())
 def test_replay_reader_matches_reference_on_mutated_steps(table, data):
-    verdict = verify_table(table)
+    verdict = verify_table(table, with_certificate=True)
     assume(verdict.passing)
     cert = verdict.certificate
     ctx = DropContext(table, verdict.w)
@@ -810,3 +862,27 @@ def test_drop_rules_are_monotone(ctx, seed):
             assert level >= levels[x], (x, levels[x], level)
             if levels[x] == 2 and level == 2 and sub & ctx.cover[x]:
                 event("live critical column stays critical")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(drop_instances(), st.data())
+def test_judge_agrees_with_replay_of_the_rendered_certificate(ctx, data):
+    # the greedy's moves pass the judge exactly when their rendered
+    # certificate replays, which is exactly when the greedy succeeds
+    result = drop_all(ctx)
+    moves = result.moves
+    rendered = _render(ctx, moves)
+    assert _replay(ctx, moves) == replay_certificate(rendered, ctx) == result.success
+    event(f"success: {result.success}")
+    if not result.success:
+        assert result.certificate is None
+        return
+    assert result.certificate == rendered
+    assert len(moves) == len(result.certificate.steps)
+    mutations = _move_mutations(moves, len(ctx.sections))
+    kind = data.draw(st.sampled_from(sorted({m[0] for m in mutations})))
+    _, mutated = data.draw(st.sampled_from([m for m in mutations if m[0] == kind]))
+    event(kind)
+    assert not _replay(ctx, mutated)
+    if kind in ("repeat", "swap", "last"):   # a rendering that keeps the mutation
+        assert not replay_certificate(_render(ctx, mutated), ctx)

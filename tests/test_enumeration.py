@@ -271,13 +271,15 @@ def test_run_indices_are_the_range_or_sample_cut_to_limit():
             ("sampled", None, 0, None, "needs n"),
             ("sampled", 4, None, None, "needs n"),
             ("sampled", -1, 0, None, "n must be non-negative"),
+            ("exhaustive", 3, 0, 7, "sampled mode only.*--limit"),
+            ("exhaustive", 0, 0, None, "sampled mode only"),
             ("exhaustive", None, 0, -1, "limit must be non-negative")):
         with pytest.raises(EnumerationError, match=match):
             enum.run_indices(mode, n, seed, limit)
     assert not enum._memo   # refused before the family is counted
     total = enum.total()
     assert enum.run_indices("exhaustive", None, 0, None) == range(total)
-    assert enum.run_indices("exhaustive", 3, 0, 7) == range(7)
+    assert enum.run_indices("exhaustive", None, 0, 7) == range(7)
     assert enum.run_indices("exhaustive", None, 0, total + 5) == range(total)
     sample = enum.sample_indices(10, seed=3)
     assert enum.run_indices("sampled", 10, 3, None) == sample

@@ -2,9 +2,10 @@ import dataclasses
 import functools
 import hashlib
 import json
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from llschain import (
@@ -480,27 +481,37 @@ def test_interned_columns_match_oracles(table):
     assert _outcome(validate_table, table) == _outcome(_reference_validate, table)
 
 
+# draws a search for one outcome of `oracle_tables` may take; the rarest,
+# RefinednessViolation, was 109 of 2,000 seed-1 draws
+_REACH_BUDGET = 1_000
+
+
 def test_oracle_tables_reach_every_outcome():
-    # the property above sees valid tables and every kind of violation
-    seen = set()
+    # the property above sees valid tables and every kind of violation.  One
+    # seeded search per outcome: it draws no example from this test's text,
+    # so it fails only when the strategy no longer reaches an outcome
+    search = settings(max_examples=_REACH_BUDGET, database=None, deadline=None,
+                      phases=[Phase.generate])
 
-    @settings(derandomize=True, max_examples=600, deadline=None)
-    @given(oracle_tables())
-    def collect(table):
+    def reach(condition):
+        return find(oracle_tables(), condition, settings=search,
+                    random=random.Random(0))
+
+    def kind(table):
         outcome = _outcome(_reference_validate, table)
-        seen.add(outcome and outcome[0])
-        if outcome is None:
-            seen.add(("refined", any(g == 0 for g in table.chain.genera)))
+        return outcome and outcome[0]
 
-    collect()
-    assert {None, RefinednessViolation, DuplicateVanishing, SumExceedsD,
-            NegativeOrder, GenericityViolation, CanonicalOrderViolation} <= seen
-    assert ("refined", True) in seen
+    for expected in (None, RefinednessViolation, DuplicateVanishing, SumExceedsD,
+                     NegativeOrder, GenericityViolation, CanonicalOrderViolation):
+        assert kind(reach(lambda t: kind(t) is expected)) is expected
+    refined0 = reach(lambda t: kind(t) is None
+                     and any(g == 0 for g in t.chain.genera))
+    assert 0 in refined0.chain.genera
 
 
 def test_column_cache_is_cleared_at_its_cap(monkeypatch):
     def verdict(table):
-        return json.dumps(verify_table(table).to_json(with_certificate=True),
+        return json.dumps(verify_table(table, with_certificate=True).to_json(),
                           sort_keys=True)
 
     enum = TableEnumerator(22, 6, 25, None, "has_swap")

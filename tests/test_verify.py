@@ -36,8 +36,10 @@ def test_verify_g22_example():
     assert verdict.side_condition == "not_applicable"
     assert verdict.candidates_tried == 1
     assert verdict.w.c[:4] == (3, 5, 7, 9)
-    assert verdict.certificate is not None
+    assert verdict.certificate is None and verdict.certificate_steps > 0
     assert not verdict.invariant_violations
+    full = verify_table(g22_example(), with_certificate=True)
+    assert len(full.certificate.steps) == verdict.certificate_steps
 
 
 def test_verify_rho0_pass_at_default():
@@ -103,7 +105,7 @@ def test_pass_certificates_replay_independently():
 
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     for idx, table in enum.iter_indices(enum.sample_indices(40, seed=4711)):
-        verdict = verify_table(table)
+        verdict = verify_table(table, with_certificate=True)
         assert verdict.passing
         ctx = DropContext(table, verdict.w)
         assert replay_certificate(verdict.certificate, ctx)
@@ -165,29 +167,36 @@ def test_verdict_json_shape():
     assert record["pass"] is True
     assert record["class"]["kind"] == "single"
     assert record["w"]["D"] == 50
-    assert "certificate_steps" in record
-    full = verdict.to_json(with_certificate=True)
+    assert "certificate_steps" in record and "certificate" not in record
+    full = verify_table(g22_example(), with_certificate=True).to_json()
     assert full["certificate"]["version"] == 1
+    assert "certificate_steps" not in full
 
 
-def _dumped(verdict, with_certificate):
-    return json.dumps(verdict.to_json(with_certificate), sort_keys=True,
-                      separators=(",", ":"))
+def _dumped(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(family_tables(), st.none() | st.integers(0, 10**10))
 def test_verdict_line_equals_sorted_compact_json(table, index):
-    verdict = verify_table(table, index=index)
-    for with_certificate in (False, True):
-        assert verdict.to_line(with_certificate) == _dumped(verdict, with_certificate)
+    # the line without certificates is the certificate verdict's JSON with
+    # its certificate replaced by the step count
+    plain = verify_table(table, index=index)
+    full = verify_table(table, index=index, with_certificate=True)
+    for verdict in (plain, full):
+        assert verdict.to_line() == _dumped(verdict.to_json())
+    record = full.to_json()
+    if "certificate" in record:
+        record["certificate_steps"] = len(record.pop("certificate")["steps"])
+    assert plain.to_line() == _dumped(record)
 
 
 @functools.lru_cache(maxsize=None)
 def _g22_certificates():
     """The greedy and the search certificate of the g22 example."""
     table = g22_example()
-    verdict = verify_table(table)
+    verdict = verify_table(table, with_certificate=True)
     ctx = DropContext(table, verdict.w)
     steps = exhaustive_order_search(ctx, (1 << len(ctx.sections)) - 1)
     search = DropCertificate(table.hash, verdict.w, tuple(steps))
@@ -206,6 +215,7 @@ def hand_built_verdicts(draw):
     with free-text violations and diagnostics, with a search certificate."""
     certificate = draw(st.sampled_from((None, *_g22_certificates())))
     opt_int = st.none() | st.integers(0, 30)
+    steps = len(certificate.steps) if certificate else draw(opt_int)
     klass = DegeneracyClass(
         draw(st.sampled_from(("no_swap", "single", "cycle2", "other")) | _TEXT),
         draw(opt_int), draw(opt_int), draw(opt_int), draw(opt_int),
@@ -219,6 +229,7 @@ def hand_built_verdicts(draw):
         passing=draw(st.booleans()),
         w=w,
         certificate=certificate,
+        certificate_steps=steps,
         side_condition=draw(st.sampled_from(("none", "not_applicable", "cycle2_b"))
                             | _TEXT),
         left_weighted_required=draw(st.booleans()),
@@ -235,8 +246,7 @@ def hand_built_verdicts(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(hand_built_verdicts())
 def test_hand_built_verdict_line_equals_sorted_compact_json(verdict):
-    for with_certificate in (False, True):
-        assert verdict.to_line(with_certificate) == _dumped(verdict, with_certificate)
+    assert verdict.to_line() == _dumped(verdict.to_json())
 
 
 def test_family_run_and_report(tmp_path, monkeypatch):
@@ -601,7 +611,7 @@ def test_verdicts_do_not_depend_on_the_tables_verified_before():
         for k, (idx, table) in enumerate(pairs):
             if between:   # a fresh copy, whose hash is not cached yet
                 verify_table(dataclasses.replace(between[k % len(between)]))
-            record = verify_table(table, index=idx).to_json(with_certificate=True)
+            record = verify_table(table, index=idx, with_certificate=True).to_json()
             out[idx] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         return out
 
