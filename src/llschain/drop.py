@@ -94,11 +94,41 @@ own moves re-derives every drop.  `replay_certificate` checks the version
 and the binding to the context's table hash and `w`, and hands the judge
 the moves its reader reads off the steps.
 
-Building a context is linear in columns and sections: the masks come from
-one pass over the sections' ends, and `cover` from one running OR over the
-columns.  The reader, `_read_moves`, reads each step in one pass: its rule,
-its place and then each section, type-checking every field (an int is
-exactly an int, a row exactly a list of two ints) and or-ing each section's
+Bit order and resume.  The bits number the sections in the order the
+section scan (`tensor.scan_runs`) closes their runs: by the column where a
+run stops appearing, then by row position.  No rule reads that order: each
+rule asks about a place and answers a set of sections, the greedy visits
+places in a fixed order, and rule (i)'s minimum is unique when it drops.
+So the moves are the same section sets under any numbering, and wherever
+sections are listed, in a step of rule (ii) or (iii) and in the sections a
+failed greedy leaves, they are listed in row-major order, sorted by the
+position of their row in `pair_list` and then by start, whatever their
+bits.  Tests check this against random renumberings.
+
+Neighbouring tables of a range walk share most of their columns, and the
+scan resumes at the first column where the new call differs (see the
+`tensor` module).  Each thread keeps one context slot: the scan behind the
+last context it built, and that context.  A run closed before the resumed
+column read only shared columns, so the first runs of the new scan are the
+previous scan's, in the same order, and the new context keeps the previous
+one's first sections with their bits: their keys, rows and `starts`/`ends`
+entries are sliced and masked from it, never mutated, so an earlier
+context stays valid.  Only the runs closed from the resumed column on are
+added.  `cover` and `started` (sections starting at or before each column)
+are running ORs, and are rebuilt from the first column where an added
+section starts; before it they are the previous context's, masked.  The
+sections meeting block (u, v) are those that start at or before v and end
+at or after u, `started[v] & unended[u]`, with `unended` the suffix OR of
+`ends`; the list of blocks depends only on the genera and the degrees and
+is kept while they are.  The context's slot is its own: `section_runs` and
+`extract_potential_sections` scan in another, so calls to them between two
+contexts do not disturb the resume.
+
+Building a context is linear in columns and sections, and along a range
+walk in the rescanned columns and the sections added.  The reader,
+`_read_moves`, reads each step in one pass: its rule, its place and then
+each section, type-checking every field (an int is exactly an int, a row
+exactly a list of two ints) and or-ing each section's
 bit from one key-to-bit map into the move's mask.  A section the context
 does not hold, or one named twice, or a place outside the chain (rule iii:
 a block the context does not consider) makes the step a rejected move,
@@ -113,28 +143,26 @@ from a cache keyed on its four ints.
 
 `_find` reads the state only through the mask of the place it is asked
 about: `alive & cover[x]` at a column x (rules i and ii), the live sections
-covering x, and `alive & reach[(u, v)]` on a block (rule iii), the live
-sections meeting it.  Its answer is a function of that masked state.  The
-greedy schedule records, per place, the masked state at which `_find` last
-found nothing there, and skips the place while that state is unchanged:
-the skipped call would find nothing again, so the schedule, and with it
-every move list, is the one the greedy without skips produces.  The judge
-keeps no such record and asks `_find` at every move.
-Where a rule needs section indices (the minima of rule i, the rows of rule
-ii, the JSON of a step) it walks the set bits in ascending order, so a
-step lists its sections in index order.
+covering x, and `alive & started[v] & unended[u]` on a block (u, v) (rule
+iii), the live sections meeting it.  Its answer is a function of that
+masked state.  The greedy schedule records, per place, the masked state at
+which `_find` last found nothing there, and skips the place while that
+state is unchanged: the skipped call would find nothing again, so the
+schedule, and with it every move list, is the one the greedy without skips
+produces.  The judge keeps no such record and asks `_find` at every move.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .enumeration import _bits
 from .multidegree import MultidegreeError, TwistVector, degrees_unimaginative
 from .table import VanishingTable, pair_list
-from .tensor import PotentialSection, pair_positions, section_runs
+from .tensor import PotentialSection, _Scan, pair_positions, scan_runs
 
 CERTIFICATE_VERSION = 1
 
@@ -143,77 +171,149 @@ class MalformedCertificate(ValueError):
     pass
 
 
+class _LastContext(_Scan):
+    """The scan behind the last `DropContext` built in this thread, and that
+    context once it is complete (None until then), so that the next context
+    resumes from exactly the scan it read."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.context: DropContext | None = None
+
+
+_last_context = _LastContext()
+
+
 class DropContext:
     """Static data shared by all rule evaluations for one (table, w) pair.
 
     The rules are defined only for an unimaginative `w`, so any other is
     rejected (the component degrees are computed once, for that check and
-    for ``degree``); one pass over :func:`~llschain.tensor.section_runs`
-    then records each section's key, its row's position (``pair_of``) and
-    its bits.  Sections are read only through masks, bit i standing for
-    ``sections[i]``: ``starts[x]`` and ``ends[x]`` hold the sections
-    starting or ending at column x, ``cover[x]`` those covering it (one
-    running OR over the columns, adding ``starts[x]`` and then clearing
-    ``ends[x]``), and ``reach[(u, v)]`` those meeting block (u, v), the OR of
-    ``cover[u..v]``; its keys are the blocks rule (iii) considers.
-    ``table_hash`` and ``w`` are what a certificate replayed on this context
-    must be bound to.
+    for ``degree``).  The sections come from :func:`~llschain.tensor.scan_runs`
+    in this thread's context slot, numbered in the order the scan closed
+    their runs; each has its key in ``sections``, its row's position in
+    ``pair_of`` and its bit.  Sections are read only through masks, bit i
+    standing for ``sections[i]``: ``starts[x]`` and ``ends[x]`` hold the
+    sections starting or ending at column x, ``cover[x]`` those covering it
+    (one running OR over the columns, adding ``starts[x]`` and then clearing
+    ``ends[x]``), ``started[x]`` those starting at or before x and
+    ``unended[x]`` those ending at or after x, so that the sections meeting
+    block (u, v) are ``started[v] & unended[u]``.  ``blocks`` lists the
+    blocks rule (iii) considers.  ``table_hash`` and ``w`` are what a
+    certificate replayed on this context must be bound to.
+
+    The first sections the scan kept from the previous scan in the slot
+    (those closed before the first column it rescanned) are the previous
+    context's first sections, with the same bits.  Their keys and masks are
+    taken from that context, sliced and masked, never mutated, and only the
+    other sections are added; ``cover`` and ``started`` are rebuilt from the
+    first column where one of those starts.  ``blocks`` is the previous
+    context's while the genera and the degrees are.
     """
 
     __slots__ = (
         "table_hash", "w", "n", "d2", "genera", "degree", "delta", "exc",
-        "sections", "pair_of", "ta", "tb", "dd_pair", "cover",
-        "starts", "ends", "reach",
+        "sections", "pair_of", "ta", "tb", "diagonal", "cover",
+        "starts", "ends", "started", "unended", "blocks",
     )
 
     def __init__(self, table: VanishingTable, w: TwistVector):
-        runs = section_runs(table, w)   # checks w's length, total and bounds
+        slot = _last_context
+        prev, slot.context = slot.context, None
+        # checks w's length, total and bounds
+        kept = scan_runs(slot, table, w)
+        if prev is None:
+            kept = 0
         self.n = n = table.n_columns
-        ext = w.extended()
+        ext = slot.ext
         self.genera = genera = table.chain.genera
-        self.degree = degree = tuple(ext[i + 1] - ext[i] for i in range(1, n + 1))
-        if not degrees_unimaginative(genera, degree):
-            raise MultidegreeError("twist vector is not unimaginative")
+        self.degree = degree = tuple(map(operator.sub, ext[2:], ext[1:-1]))
+        if prev is not None and prev.genera is genera and prev.degree == degree:
+            self.blocks = prev.blocks
+        else:
+            if not degrees_unimaginative(genera, degree):
+                raise MultidegreeError("twist vector is not unimaginative")
+            self.blocks = _blocks(genera, degree)
         cols = table.columns
         self.table_hash = table.hash
         self.w = w
         self.d2 = 2 * table.d
         self.delta = table.shape.delta[1:]
-        self.exc = [col.exc for col in cols]
-        self.ta = tuple(col.ta for col in cols)
-        self.tb = tuple(col.tb for col in cols)
+        self.exc = list(map(_exc_of, cols))
+        self.ta = tuple(map(_ta_of, cols))
+        self.tb = tuple(map(_tb_of, cols))
+        self.diagonal = _diagonal(table.r)
+        new = slot.out[kept:]
+        if kept:
+            low = (1 << kept) - 1
+            sections, pair_of = prev.sections[:kept], prev.pair_of[:kept]
+            starts = [m & low for m in prev.starts]
+            ends = [m & low for m in prev.ends]
+        else:
+            sections, pair_of, starts, ends = [], [], [0] * n, [0] * n
         pairs = pair_list(table.r)
-        section = PotentialSection._make
-        self.sections = [section((pairs[p], s + 1, e + 1)) for p, s, e in runs]
-        self.pair_of = [p for p, _, _ in runs]
-        starts, ends = [0] * n, [0] * n
-        bit = 1
-        for _, s, e in runs:
+        sections += [_section((pairs[p], s + 1, e + 1)) for p, s, e in new]
+        pair_of += [p for p, _, _ in new]
+        bit, first = 1 << kept, n
+        for _, s, e in new:
             starts[s] |= bit
             ends[e] |= bit
             bit <<= 1
-        cover = []
-        cur = 0
-        for x in range(n):
+            if s < first:
+                first = s
+        # before `first` only the kept sections start, end or cover a column
+        if kept and first:
+            cover = [m & low for m in prev.cover[:first]]
+            started = [m & low for m in prev.started[:first]]
+            cur, begun = cover[-1] & ~ends[first - 1], started[-1]
+        else:
+            cover, started, cur, begun, first = [], [], 0, 0, 0
+        for x in range(first, n):
+            begun |= starts[x]
+            started.append(begun)
             cur |= starts[x]
             cover.append(cur)
             cur &= ~ends[x]
-        self.cover, self.starts, self.ends = cover, starts, ends
-        pos = pair_positions(table.r)
-        self.dd_pair = [pos[dj, dj] if dj is not None else None
-                        for dj in self.delta]
-        self.reach = reach = {}
-        for u in range(n):
-            if genera[u] != 1:
-                continue
-            mask = cover[u]
-            for v in range(u + 1, n):
-                mask |= cover[v]
-                if genera[v] == 1:
-                    reach[u, v] = mask
-                # interior from u+1 to v must all have degree 2
-                if degree[v] != 2:
-                    break
+        unended = [0] * n
+        cur = 0
+        for x in range(n - 1, -1, -1):
+            cur |= ends[x]
+            unended[x] = cur
+        self.sections, self.pair_of = sections, pair_of
+        self.starts, self.ends, self.cover = starts, ends, cover
+        self.started, self.unended = started, unended
+        slot.context = self
+
+
+_exc_of = operator.attrgetter("exc")
+_ta_of = operator.attrgetter("ta")
+_tb_of = operator.attrgetter("tb")
+# a PotentialSection from its (row, start, end), without a Python-level call
+_section = functools.partial(tuple.__new__, PotentialSection)
+
+
+@functools.lru_cache(maxsize=None)
+def _diagonal(r: int) -> tuple[int, ...]:
+    """The position in `pair_list` (r) of each doubled row (j, j)."""
+    pos = pair_positions(r)
+    return tuple(pos[j, j] for j in range(r + 1))
+
+
+def _blocks(genera, degree) -> tuple[tuple[int, int], ...]:
+    """The blocks (u, v) rule (iii) considers, 0-based: genus-1 endpoints
+    and an interior of degree-2 columns."""
+    n = len(genera)
+    blocks = []
+    for u in range(n):
+        if genera[u] != 1:
+            continue
+        for v in range(u + 1, n):
+            if genera[v] == 1:
+                blocks.append((u, v))
+            # interior from u+1 to v must all have degree 2
+            if degree[v] != 2:
+                break
+    return tuple(blocks)
 
 
 def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
@@ -248,7 +348,7 @@ def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
                 other = j1 + j2 - dj
                 if other != dj and other in exc:
                     return 0
-    p = ctx.dd_pair[x]
+    p = ctx.diagonal[dj]
     if mina == ctx.ta[x][p] - 1 and minb == ctx.tb[x][p] - 1:
         return 1
     return 2
@@ -265,7 +365,7 @@ def _rule_iii(ctx: DropContext, alive: int, block: tuple[int, int],
         return None
     if anchored and (not at_u or not at_v):
         return None
-    dropped = alive & ctx.reach[block]
+    dropped = alive & ctx.started[v] & ctx.unended[u]
     if not dropped:
         return None
     for k in range(u, v):
@@ -288,7 +388,7 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     """The drop that `rule` allows at `where` in state `alive`, or None.
 
     `where` is a 0-based column for rules i and ii and a 0-based block
-    (u, v), a key of `ctx.reach`, for rule iii; `anchored` restricts rule
+    (u, v), one of `ctx.blocks`, for rule iii; `anchored` restricts rule
     iii to blocks with live sections at both endpoints.  The drop is
     returned as (side, mask of the sections dropped), where side is the
     minimum ("a" or "b") that rule i used and None for the other rules.
@@ -336,12 +436,20 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     return None
 
 
+def _listed(ctx: DropContext, mask: int) -> list[PotentialSection]:
+    """The sections of `mask` in row-major order: by the position of their
+    row in `pair_list`, then by start."""
+    sections, pair_of = ctx.sections, ctx.pair_of
+    return [sections[i] for i in sorted(
+        _bits(mask), key=lambda i: (pair_of[i], sections[i].start))]
+
+
 def _step(ctx: DropContext, rule: str, where, side, mask: int) -> dict:
     """The certificate record of one drop found by `_find`."""
     if rule == "i":
         return {"rule": "i", "column": where + 1, "min": side,
                 "section": ctx.sections[mask.bit_length() - 1].to_json()}
-    secs = [ctx.sections[i].to_json() for i in _bits(mask)]
+    secs = [sec.to_json() for sec in _listed(ctx, mask)]
     if rule == "ii":
         return {"rule": "ii", "column": where + 1, "sections": secs}
     u, v = where
@@ -352,18 +460,20 @@ def _greedy(ctx: DropContext, alive: int, moves: list[tuple]) -> int:
     """Run the greedy schedule from state `alive`, appending each drop to
     `moves` as the move ``(rule, where, side, mask)`` `_find` found, and
     return the state it stalls in (0 when it empties `alive`)."""
-    n, cover = ctx.n, ctx.cover
+    n, cover, started, unended = ctx.n, ctx.cover, ctx.started, ctx.unended
+    blocks = ctx.blocks
+    nb = len(blocks)
     sweep = [*range(n), *reversed(range(n))]
-    # after the rule-(i) sweeps stall: rule (ii), then blocks anchored by
-    # live sections at both endpoints, then the liberal rule (iii); each
-    # place carries the mask its rule reads the state through
-    fallbacks = ([("ii", x, False, cover[x]) for x in range(n)]
-                 + [("iii", b, True, reads) for b, reads in ctx.reach.items()]
-                 + [("iii", b, False, reads) for b, reads in ctx.reach.items()])
+    # after the rule-(i) sweeps stall, place k is rule (ii) at column k for
+    # k < n, then each block anchored by live sections at both endpoints,
+    # then each block for the liberal rule (iii); reads[k] is the mask its
+    # rule reads the state through
+    meets = [started[v] & unended[u] for u, v in blocks]
+    reads = cover + meets + meets
     # the masked state at which _find last found nothing at each place; an
     # empty state finds nothing anywhere, so 0 serves as the start value
     idle_i = [0] * n
-    idle = [0] * len(fallbacks)
+    idle = [0] * len(reads)
     while alive:
         progress = False
         for x in sweep:
@@ -376,15 +486,19 @@ def _greedy(ctx: DropContext, alive: int, moves: list[tuple]) -> int:
             idle_i[x] = alive & cover[x]
         if progress:
             continue
-        for k, (rule, where, anchored, reads) in enumerate(fallbacks):
-            if alive & reads == idle[k]:
+        for k, mask in enumerate(reads):
+            if alive & mask == idle[k]:
                 continue
+            if k < n:
+                rule, where, anchored = "ii", k, False
+            else:
+                rule, where, anchored = "iii", blocks[(k - n) % nb], k < n + nb
             found = _find(ctx, alive, rule, where, anchored)
             if found is not None:
                 moves.append((rule, where, *found))
                 alive &= ~found[1]
                 break
-            idle[k] = alive & reads
+            idle[k] = alive & mask
         else:
             break
     return alive
@@ -464,8 +578,9 @@ class DropCertificate:
 class DropResult:
     """The greedy's outcome on one context: whether it emptied the state, its
     moves ``(rule, where, side, mask)`` in order, and the sections it left
-    stuck.  ``certificate`` is rendered from the moves through `_step` when
-    it is first read, and is None unless the greedy succeeded."""
+    stuck, in row-major order.  ``certificate`` is rendered from the moves
+    through `_step` when it is first read, and is None unless the greedy
+    succeeded."""
 
     success: bool
     context: DropContext = field(repr=False, compare=False)
@@ -488,8 +603,7 @@ def drop_all(ctx: DropContext) -> DropResult:
     moves: list[tuple] = []
     stuck = _greedy(ctx, (1 << len(ctx.sections)) - 1, moves)
     if stuck:
-        return DropResult(False, ctx, moves,
-                          [ctx.sections[i] for i in _bits(stuck)])
+        return DropResult(False, ctx, moves, _listed(ctx, stuck))
     return DropResult(True, ctx, moves)
 
 
@@ -521,7 +635,7 @@ def _read_moves(cert: DropCertificate, ctx: DropContext):
     does not hold, or one twice, yields None.
     """
     bit_of = {key: 1 << i for i, key in enumerate(ctx.sections)}
-    n, reach = ctx.n, ctx.reach
+    n, blocks = ctx.n, ctx.blocks
     for step in cert.steps:
         try:
             rule = step["rule"]
@@ -556,7 +670,7 @@ def _read_moves(cert: DropCertificate, ctx: DropContext):
             raise MalformedCertificate(f"bad step {step!r}: {err}") from err
         if rule == "iii":
             where = (u - 1, v - 1)
-            placed = where in reach
+            placed = where in blocks
         else:
             where = x - 1
             placed = 1 <= x <= n

@@ -48,7 +48,8 @@ class TwistVector:
 
     @property
     def bounded(self) -> bool:
-        return all(0 <= ci <= self.D for ci in self.c)
+        c = self.c
+        return not c or (min(c) >= 0 and max(c) <= self.D)
 
     def to_json(self) -> dict:
         return {"D": self.D, "c": list(self.c)}

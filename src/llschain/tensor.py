@@ -11,22 +11,33 @@ column 1 and end in column N without strictness.
 A potential section is a maximal contiguous run of appearing columns,
 trimmed on the left until it potentially starts and on the right until it
 potentially ends.  Appearing columns shaved off in the trim belong to no
-section.  :func:`section_runs` is the one scan that finds them, read by
-``DropContext(table, w)`` and by :func:`extract_potential_sections`.  It
-compares all rows of a column at once: each column holds its sums packed
-one field per row pair with a guard bit on top, so a subtraction and a mask
-yield the "at least c" flag of every row (a SWAR compare, after Lamport,
-*Multiple byte processing with full-word instructions*, CACM 1975), and the
-scan costs a few big-int operations per column plus a few steps per section
-rather than a comparison per row and column.
+section.  :func:`scan_runs` is the one scan that finds them, read by
+``DropContext(table, w)`` and, through :func:`section_runs`, by
+:func:`extract_potential_sections`.  It compares all rows of a column at
+once: each column holds its sums packed one field per row pair with a
+guard bit on top, so a subtraction and a mask yield the "at least c" flag
+of every row (a SWAR compare, after Lamport, *Multiple byte processing
+with full-word instructions*, CACM 1975), and the scan costs a few big-int
+operations per column plus a few steps per section rather than a
+comparison per row and column.
 
 Neighbouring tables of a range walk share most of their columns (on the
 (21,6,24) rho-0 family the first changed column has median 18 of 21), and
 the scan at a column depends only on that column, its two twist values and
 the state the columns before it left.  So the scan keeps its previous call
-in one slot per thread and resumes at the first column where the new call
-differs.  Sorted samples share less (consecutive seed-1 two-swap samples
+in a slot, one per thread, and resumes at the first column where the new
+call differs.  Sorted samples share less (consecutive seed-1 two-swap samples
 of (23,6,26): a median 6 leading columns); no shared column means a rescan.
+
+:func:`scan_runs` works in the slot it is handed and leaves the runs in
+the order it closes them: by the column at which each run stops
+appearing, then by row position.  That order is stable under a resume: the
+runs closed before the first changed column read only shared columns, so
+they are the previous call's first runs, in the same order.
+:func:`section_runs` scans in this module's slot and sorts the runs into
+row-major order; ``DropContext`` scans in a slot of its own and numbers its
+sections in the closing order, so that it can keep the previous context's
+first sections (see the `drop` module).
 """
 
 from __future__ import annotations
@@ -86,16 +97,17 @@ class PotentialSection(NamedTuple):
 
 
 class _Scan(threading.local):
-    """The previous call of :func:`section_runs` in this thread, kept so
-    that the next call on a table sharing a prefix of columns resumes where
-    the two differ.
+    """The previous scan of :func:`scan_runs` in one slot in this thread,
+    kept so that the next scan on a table sharing a prefix of columns
+    resumes where the two differ.
 
     ``key`` is ``(r, d, n)``, or None while no complete scan is held;
     ``cols`` and ``ext`` are that call's columns and extended twist vector.
     Per column x, ``states[x]`` is the scan state before it,
     ``(waiting, opened, prev, len(out))``, ``begins[x]`` the pairs whose
     section started there and ``endable[x]`` the pairs that may end there;
-    ``out`` holds the runs in the order they closed.
+    ``out`` holds the runs in the order they closed.  :func:`section_runs`
+    scans in ``_last_scan``; ``DropContext`` has a slot of its own.
     """
 
     def __init__(self) -> None:
@@ -109,26 +121,32 @@ class _Scan(threading.local):
 _last_scan = _Scan()
 
 
-def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, int]]:
-    """(pair position, first column, last column) of every potential section,
-    0-based, in row-major order, left to right within a row.
+def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
+    """Scan the potential sections of (table, w) in the slot `last`, leaving
+    (pair position, first column, last column), 0-based, of every potential
+    section in ``last.out`` in the order the scan closed their runs, and
+    return how many of them the previous scan in the slot had closed before
+    the first column this scan rescanned: the first that many runs of
+    ``last.out`` are that scan's, unchanged.
 
     One left-to-right pass over the columns' packed sums (see
     :func:`~llschain.table.packing`) flags, at each column, the appearing,
     startable and endable pairs as three masks of guard bits.  A pair's run
     opens where it starts appearing; its section starts at the run's first
     startable column, and when the run closes its end is found by stepping
-    back to the last endable column.
+    back to the last endable column.  Runs closing at the same column close
+    in row-position order.
 
     Column x reads only its packed sums, ``ext[x+1]``, ``ext[x+2]`` and its
-    position, so the pass resumes from the previous call (one slot per
-    thread, see :class:`_Scan`): with equal ``(r, d, n)`` it restarts at
-    the first column that is not the same interned :class:`Column` or whose
-    two twist values differ (at most the last column), from the state saved
-    before it.  A run still open there takes its first column from the last
-    begin mask before it, and a run that closed earlier read only the
-    shared ``endable`` entries.  A table whose first column differs from the
-    previous call's resumes at column 0.
+    position, so the pass resumes from the previous scan in the slot: with
+    equal ``(r, d, n)`` it restarts at the first column that is not the same
+    interned :class:`Column` or whose two twist values differ (at most the
+    last column), from the state saved before it.  A run still open there
+    takes its first column from the last begin mask before it, and a run
+    that closed earlier read only the shared ``endable`` entries.  A table
+    whose first column differs from the previous scan's resumes at column 0.
+    Only the rescanned columns are checked for sums outside 0..2d; the
+    shared ones are the same objects the previous scan checked.
     """
     cols = table.columns
     n = len(cols)
@@ -139,11 +157,7 @@ def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, 
         raise MultidegreeError(f"expected total degree {d2}, got {w.D}")
     if not w.bounded:
         raise MultidegreeError("twist vector is not bounded")
-    if any(col.pa is None for col in cols):
-        raise TableError("tensor sums outside 0..2d: the table is not valid")
-    f, ones, guard = packing(table.r, table.d)
     ext = w.extended()
-    last = _last_scan
     key = (table.r, table.d, n)
     k = 0
     if last.key == key:
@@ -154,12 +168,16 @@ def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, 
         while (k < n - 1 and cols[k] is prev_cols[k]
                and ext[k + 2] == prev_ext[k + 2]):
             k += 1
+    for x in range(k, n):
+        if cols[x].pa is None:
+            raise TableError("tensor sums outside 0..2d: the table is not valid")
+    f, ones, guard = packing(table.r, table.d)
     last.key = None   # until this scan completes
     states, begins, endable, out = last.states, last.begins, last.endable, last.out
     # open runs whose section has not started yet, open runs whose section
     # has, the pairs appearing at the previous column, and the runs closed
-    waiting, opened, prev, m = states[k] if k else (0, 0, 0, 0)
-    del states[k:], begins[k:], endable[k:], out[m:]
+    waiting, opened, prev, kept = states[k] if k else (0, 0, 0, 0)
+    del states[k:], begins[k:], endable[k:], out[kept:]
     first = {}        # guard bit -> first column of its open section
     mask, x = opened, k
     while mask:       # an open run began at its bit's last begin before k
@@ -206,7 +224,16 @@ def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, 
         prev = here
     close(opened, n)
     last.key, last.cols, last.ext = key, cols, ext
-    return sorted(out)
+    return kept
+
+
+def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, int]]:
+    """(pair position, first column, last column) of every potential section,
+    0-based, in row-major order, left to right within a row: the runs of
+    :func:`scan_runs`, scanned in this module's slot (one per thread), and
+    sorted."""
+    scan_runs(_last_scan, table, w)
+    return sorted(_last_scan.out)
 
 
 def extract_potential_sections(table: VanishingTable,

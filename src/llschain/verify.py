@@ -73,6 +73,7 @@ from .table import (
     DegeneracyClass,
     VanishingTable,
     classify_degeneracy,
+    pair_list,
     rho_accounting,
     validate_table,
 )
@@ -224,10 +225,13 @@ def _default_invariants(table: VanishingTable, ctx: DropContext) -> list[str]:
     n_swaps = len(table.swaps)
     if n_swaps > table.rho:
         out.append(f"{n_swaps} swaps exceed rho = {table.rho}")
-    per_row = collections.Counter(s.row for s in ctx.sections)
+    # rows with more than one section, in row-major order
+    per_pair = collections.Counter(ctx.pair_of)
+    pairs = pair_list(table.r)
     exc_rows = {j for (_, j) in table.exceptional}
-    for row, cnt in per_row.items():
-        if cnt > 1 and not (row[0] in exc_rows or row[1] in exc_rows):
+    for p in sorted(p for p, cnt in per_pair.items() if cnt > 1):
+        row = pairs[p]
+        if not (row[0] in exc_rows or row[1] in exc_rows):
             out.append(f"row {row} disconnected without exceptional row")
     return out
 
@@ -494,16 +498,19 @@ def verify_family(config: FamilyConfig) -> Report:
     stream_hash = checkpoint.get("stream_hash", "")
     tally = Tally(**checkpoint.get("tally", {}))
 
+    chunks = range(done, len(indices), _CHUNK_SIZE)
     tasks = ((spec, indices[lo:lo + _CHUNK_SIZE], config.emit_certificates)
-             for lo in range(done, len(indices), _CHUNK_SIZE))
+             for lo in chunks)
+    # no more workers than tasks, and none when nothing is left
+    jobs = min(config.jobs, len(chunks))
     with contextlib.ExitStack() as stack:
         out_fh = None
         if config.out_path:
             out_fh = stack.enter_context(_open_output(config, checkpoint))
         results = map(_verify_chunk, tasks)
-        if config.jobs > 1:
+        if jobs > 1:
             pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(config.jobs))
+                multiprocessing.get_context("fork").Pool(jobs))
             results = pool.imap(_verify_chunk, tasks)
         for lines, chunk_tally in results:
             for line in lines:

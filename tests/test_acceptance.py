@@ -118,9 +118,10 @@ def test_criterion_1_golden_example():
     assert w.D == 50
 
     ctx = DropContext(table, w)
-    sections = ctx.sections
-    assert sections == extract_potential_sections(table, w)
-    assert len(sections) == 29
+    # the context numbers the sections in its own order
+    sections = extract_potential_sections(table, w)
+    assert sorted(ctx.sections) == sorted(sections)
+    assert len(set(ctx.sections)) == len(sections) == 29
     per_row = {}
     for s in sections:
         per_row.setdefault(s.row, []).append((s.start, s.end))

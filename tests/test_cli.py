@@ -141,10 +141,11 @@ def _verify_cmd(tmp_path, name, jobs, *run):
             "--out", str(tmp_path / f"{name}.jsonl")]
 
 
-def _kill_then_finish(cmd, rng, runs=3):
+def _kill_then_finish(cmd, rng, runs=3, span=0.0):
     """Start ``cmd`` ``runs`` times in its own session, SIGKILL its process
-    group (pool workers included) at a seeded random moment, then run it to
-    completion: (its report, the number of runs killed)."""
+    group (pool workers included) at a seeded random moment within the first
+    0.1 to 0.9 of ``span`` seconds, then run it to completion: (its report,
+    the number of runs killed)."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -154,7 +155,7 @@ def _kill_then_finish(cmd, rng, runs=3):
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
                                 start_new_session=True)
         try:
-            time.sleep(rng.uniform(0.2, 2.0))
+            time.sleep(rng.uniform(0.1, 0.9) * span)
         finally:
             if proc.poll() is None:
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -166,15 +167,19 @@ def _kill_then_finish(cmd, rng, runs=3):
 
 def _assert_resumes_after_hard_kills(tmp_path, rng, run=(), tables=6000):
     # rerunning the identical command after each kill must write the
-    # uninterrupted run's bytes and hash, for one job and for two
+    # uninterrupted run's bytes and hash, for one job and for two.  The kills
+    # fall within the wall time of one uninterrupted run on this host, so
+    # that they stay inside the runs however fast the host or the verifier
+    started = time.monotonic()
     ref, _ = _kill_then_finish(_verify_cmd(tmp_path, "ref", 1, *run), rng, runs=0)
+    span = time.monotonic() - started
     expected = (tmp_path / "ref.jsonl").read_bytes()
     assert expected.count(b"\n") == ref["verified"] == tables
     kills = 0
     for jobs in (1, 2):
         name = f"killed{jobs}"
         report, killed = _kill_then_finish(_verify_cmd(tmp_path, name, jobs, *run),
-                                           rng)
+                                           rng, span=span)
         kills += killed
         assert report["verified"] == tables and report["failed"] == 0
         assert report["stream_hash"] == ref["stream_hash"]

@@ -3,7 +3,10 @@ import dataclasses
 import functools
 import json
 import random
+import sys
+import threading
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -15,6 +18,7 @@ from llschain import (
     MultidegreeError,
     TwistVector,
     build_tensor_table,
+    component_degrees,
     default_multidegree,
     drop_all,
     extract_potential_sections,
@@ -35,8 +39,11 @@ from llschain.drop import (
     _semicritical,
     _step,
 )
+from llschain import drop as drop_module
+from llschain import verify as verify_module
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import iter_candidate_multidegrees, twist_from_threes
+from llschain.tensor import section_runs
 
 from test_tensor import naive_sections
 
@@ -64,7 +71,7 @@ def _all_actions(ctx, alive):
     form, as (rule, where, side, mask) in place order: rule (i) at each
     column, rule (ii) at each column, rule (iii) on each block."""
     places = ([("i", x) for x in range(ctx.n)] + [("ii", x) for x in range(ctx.n)]
-              + [("iii", b) for b in ctx.reach])
+              + [("iii", b) for b in ctx.blocks])
     for rule, where in places:
         found = _find(ctx, alive, rule, where)
         if found is not None:
@@ -446,8 +453,6 @@ def test_rule_ii_never_drops_exceptional_rows():
                         assert (col, j) not in exc
             if step["rule"] == "iii":
                 # interior degree 2 throughout
-                from llschain import component_degrees
-
                 if degs is None:
                     degs = component_degrees(w, table.chain)
                 for col in range(step["start"] + 1, step["end"]):
@@ -459,8 +464,8 @@ def _reference_greedy(ctx, alive, moves):
     n = ctx.n
     sweep = [*range(n), *reversed(range(n))]
     fallbacks = ([("ii", x, False) for x in range(n)]
-                 + [("iii", b, True) for b in ctx.reach]
-                 + [("iii", b, False) for b in ctx.reach])
+                 + [("iii", b, True) for b in ctx.blocks]
+                 + [("iii", b, False) for b in ctx.blocks])
     while alive:
         progress = False
         for x in sweep:
@@ -512,7 +517,7 @@ def _reference_parse_step(ctx, step) -> tuple:
         raise MalformedCertificate(f"bad step {step!r}: {err}") from err
     if rule == "iii":
         where = (place[0] - 1, place[1] - 1)
-        return rule, where if where in ctx.reach else None, side, keys
+        return rule, where if where in ctx.blocks else None, side, keys
     where = place[0] - 1
     return rule, where if 0 <= where < ctx.n else None, side, keys
 
@@ -737,8 +742,10 @@ def test_context_rejects_multidegree_that_is_not_unimaginative():
 
 
 def _reference_masks(table, w):
-    """(sections, pair_of, cover, starts, ends) of (table, w), translated
-    section by section from a separate extraction."""
+    """(sections, pair_of, cover, starts, ends, blocks) of (table, w), in
+    row-major order, translated section by section from a separate
+    extraction; `blocks` maps each block rule (iii) considers to the mask of
+    the sections meeting it."""
     sections = extract_potential_sections(table, w)
     pos = {pair: p for p, pair in enumerate(pair_list(table.r))}
     n = table.n_columns
@@ -749,7 +756,61 @@ def _reference_masks(table, w):
         ends[s.end - 1] |= bit
         for x in range(s.start - 1, s.end):
             cover[x] |= bit
-    return sections, [pos[s.row] for s in sections], cover, starts, ends
+    genera, degree = table.chain.genera, component_degrees(w, table.chain)
+    blocks = {(u, v): functools.reduce(int.__or__, cover[u:v + 1])
+              for u in range(n) for v in range(u + 1, n)
+              if genera[u] == genera[v] == 1
+              and all(deg == 2 for deg in degree[u + 1:v])}
+    return sections, [pos[s.row] for s in sections], cover, starts, ends, blocks
+
+
+def _relabel(mask, perm):
+    """`mask` with each bit i moved to bit perm[i]."""
+    return sum(1 << perm[i] for i in _bits(mask))
+
+
+_MASKS = ("cover", "starts", "ends", "started", "unended")
+
+
+def _row_major(ctx):
+    """The permutation taking each bit of `ctx` to its section's position in
+    row-major order (by row position in `pair_list`, then start)."""
+    order = sorted(range(len(ctx.sections)),
+                   key=lambda i: (ctx.pair_of[i], ctx.sections[i].start))
+    perm = [0] * len(order)
+    for new, old in enumerate(order):
+        perm[old] = new
+    return perm
+
+
+def _canonical(ctx):
+    """Every field of `ctx`, and the greedy's result on it, with its bits
+    renumbered in row-major order: two contexts give equal values iff they
+    are equal up to a relabeling of their bits."""
+    perm = _row_major(ctx)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    fields = {name: getattr(ctx, name) for name in DropContext.__slots__}
+    fields["sections"] = [ctx.sections[i] for i in inverse]
+    fields["pair_of"] = [ctx.pair_of[i] for i in inverse]
+    for name in _MASKS:
+        fields[name] = [_relabel(m, perm) for m in fields[name]]
+    result = drop_all(ctx)
+    moves = [(r, where, side, _relabel(m, perm))
+             for r, where, side, m in result.moves]
+    return fields, result.success, moves, result.remaining
+
+
+def _permuted(ctx, perm):
+    """A copy of `ctx` whose bit perm[i] stands for the section of bit i."""
+    other = object.__new__(DropContext)
+    for name in DropContext.__slots__:
+        setattr(other, name, getattr(ctx, name))
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    other.sections = [ctx.sections[i] for i in inverse]
+    other.pair_of = [ctx.pair_of[i] for i in inverse]
+    for name in _MASKS:
+        setattr(other, name, [_relabel(m, perm) for m in getattr(ctx, name)])
+    return other
 
 
 _FAMILIES = ((21, 6, 24, 0, "all"), (22, 6, 25, None, "has_swap"),
@@ -772,13 +833,171 @@ def family_tables(draw):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(family_tables())
 def test_context_masks_match_reference_at_every_candidate(table):
+    # the context numbers its sections in its own order; renumbered in
+    # row-major order, its keys, rows and masks are the reference's
     tt = build_tensor_table(table)
     for w in iter_candidate_multidegrees(table):
         ctx = DropContext(table, w)
-        assert (ctx.sections, ctx.pair_of, ctx.cover, ctx.starts, ctx.ends) \
-            == _reference_masks(table, w)
+        sections, pair_of, cover, starts, ends, blocks = \
+            _reference_masks(table, w)
+        assert sorted(ctx.sections) == sorted(sections)
+        assert len(set(ctx.sections)) == len(ctx.sections)
+        perm = [sections.index(s) for s in ctx.sections]
+        assert [pair_of[perm[i]] for i in range(len(perm))] == ctx.pair_of
+        for mine, ref in ((ctx.cover, cover), (ctx.starts, starts),
+                          (ctx.ends, ends)):
+            assert [_relabel(m, perm) for m in mine] == ref
+        assert ctx.blocks == tuple(blocks)
+        for (u, v), mask in blocks.items():
+            assert _relabel(ctx.started[v] & ctx.unended[u], perm) == mask
         got = [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
         assert got == naive_sections(tt, w)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(family_tables(), st.randoms(use_true_random=False))
+def test_moves_and_verdicts_do_not_depend_on_the_bit_numbering(table, rnd):
+    # a context whose bits are renumbered by a random permutation makes the
+    # same moves up to the renumbering, renders the same certificate, and
+    # verify_table writes the same verdict lines from such contexts
+    for w in iter_candidate_multidegrees(table):
+        ctx = DropContext(table, w)
+        perm = list(range(len(ctx.sections)))
+        rnd.shuffle(perm)
+        other = _permuted(ctx, perm)
+        result, permuted = drop_all(ctx), drop_all(other)
+        assert permuted.moves == [(r, where, side, _relabel(m, perm))
+                                  for r, where, side, m in result.moves]
+        assert permuted.success == result.success
+        assert permuted.remaining == result.remaining
+        assert _replay(other, permuted.moves) == result.success
+        if result.success:
+            assert permuted.certificate.to_text() == result.certificate.to_text()
+            assert replay_certificate(result.certificate, other)
+
+    def shuffled_context(table, w):
+        ctx = DropContext(table, w)
+        perm = list(range(len(ctx.sections)))
+        rnd.shuffle(perm)
+        return _permuted(ctx, perm)
+
+    plain = [verify_table(table, 5, certs) for certs in (False, True)]
+    with mock.patch.object(verify_module, "DropContext", shuffled_context):
+        shuffled = [verify_table(table, 5, certs) for certs in (False, True)]
+    assert [v.certificate_steps for v in shuffled] == \
+        [v.certificate_steps for v in plain]
+    assert [v.to_line() for v in shuffled] == [v.to_line() for v in plain]
+
+
+def _cold(table, w):
+    """A DropContext built in a fresh slot, resuming from nothing; the
+    thread's own slot is left as it was."""
+    saved = drop_module._last_context
+    drop_module._last_context = drop_module._LastContext()
+    try:
+        return DropContext(table, w)
+    finally:
+        drop_module._last_context = saved
+
+
+def _snapshot(ctx):
+    return {name: copy.copy(getattr(ctx, name)) for name in DropContext.__slots__}
+
+
+def _check_resumed_contexts(calls, between=lambda k: None):
+    """Build a context at each (table, w) of `calls` in turn, calling
+    `between(k)` before the k-th; each equals a cold-built one up to
+    relabeling, and every one is unchanged after all later builds."""
+    built = []
+    for k, (table, w) in enumerate(calls):
+        between(k)
+        ctx = DropContext(table, w)
+        built.append((ctx, _snapshot(ctx)))
+        assert _canonical(ctx) == _canonical(_cold(table, w)), k
+    for ctx, snapshot in built:
+        assert _snapshot(ctx) == snapshot
+    return [ctx for ctx, _ in built]
+
+
+def _candidates(tables, count=3):
+    return [(t, w) for t in tables
+            for w in list(iter_candidate_multidegrees(t))[:count]]
+
+
+def test_contexts_resume_along_a_range_walk():
+    tables = [t for _, t in _enumerator(_FAMILIES[0]).iter_range(9_000, 60)]
+    tables += [t for _, t in _enumerator(_FAMILIES[1]).iter_range(0, 40)]
+    _check_resumed_contexts(_candidates(tables))
+    # at their default multidegrees most neighbours keep some sections of
+    # the context before them
+    contexts = _check_resumed_contexts(_candidates(tables, 1))
+    kept = sum(a.sections[0] is b.sections[0]
+               for a, b in zip(contexts, contexts[1:]))
+    assert kept > len(contexts) // 2
+
+
+def test_contexts_resume_along_a_sorted_sample():
+    enum = _enumerator(_FAMILIES[2])
+    indices = enum.sample_indices(60, 1)
+    assert list(indices) == sorted(indices)
+    tables = [t for _, t in enum.iter_indices(indices)]
+    _check_resumed_contexts(_candidates(tables, 4))
+
+
+def test_contexts_resume_between_two_alternating_tables():
+    walk = [t for _, t in _enumerator(_FAMILIES[0]).iter_range(600_000, 6)]
+    calls = []
+    for a, b in zip(walk, walk[1:]):
+        calls += _candidates([a, b, a, b], 2)
+    _check_resumed_contexts(calls)
+
+
+def test_contexts_resume_across_other_scans():
+    # section_runs and extract_potential_sections, on neighbours and on
+    # unrelated tables, scan in a slot of their own
+    walk = [t for _, t in _enumerator(_FAMILIES[1]).iter_range(500_000, 30)]
+    others = [t for _, t in _enumerator(_FAMILIES[2]).iter_range(0, 30)]
+    calls = _candidates(walk, 2)
+
+    def scan(k):
+        table = others[k % len(others)] if k % 3 else calls[k][0]
+        w = default_multidegree(table)
+        section_runs(table, w)
+        extract_potential_sections(calls[k - 1][0] if k else table,
+                                   calls[k - 1][1] if k else w)
+
+    _check_resumed_contexts(calls, scan)
+
+
+def test_contexts_resume_per_thread():
+    # two threads building contexts along their own walks, switching every
+    # microsecond, each get the contexts of a cold build
+    runs = []
+    for spec, start in ((_FAMILIES[0], 1_000), (_FAMILIES[1], 90_000)):
+        tables = [t for _, t in _enumerator(spec).iter_range(start, 20)]
+        runs.append(_candidates(tables, 2))
+    expected = [[_canonical(_cold(t, w)) for t, w in run] for run in runs]
+    got = [None] * len(runs)
+
+    def work(k):
+        for _ in range(3):
+            got[k] = [_canonical(DropContext(t, w)) for t, w in runs[k]]
+            if got[k] != expected[k]:
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,))
+                   for k in range(len(runs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == expected
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -862,6 +1081,30 @@ def test_drop_rules_are_monotone(ctx, seed):
             assert level >= levels[x], (x, levels[x], level)
             if levels[x] == 2 and level == 2 and sub & ctx.cover[x]:
                 event("live critical column stays critical")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(drop_instances(), st.randoms(use_true_random=False))
+def test_greedy_does_not_depend_on_the_bit_numbering(ctx, rnd):
+    # random 3s leave many states stuck: the sections left are listed in
+    # row-major order whatever the numbering, and so are a step's sections
+    perm = list(range(len(ctx.sections)))
+    rnd.shuffle(perm)
+    other = _permuted(ctx, perm)
+    result, permuted = drop_all(ctx), drop_all(other)
+    event(f"success: {result.success}")
+    assert permuted.moves == [(r, where, side, _relabel(m, perm))
+                              for r, where, side, m in result.moves]
+    pos = {s.row: p for s, p in zip(ctx.sections, ctx.pair_of)}
+    assert result.remaining == permuted.remaining == sorted(
+        result.remaining, key=lambda s: (pos[s.row], s.start))
+    if result.success:
+        assert permuted.certificate == result.certificate
+        for step in result.certificate.steps:
+            if step["rule"] != "i":
+                keys = [(pos[tuple(sec["row"])], sec["start"])
+                        for sec in step["sections"]]
+                assert keys == sorted(keys)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import multiprocessing
 import os
 from collections import Counter
 
@@ -379,6 +380,31 @@ def test_family_resume_within_its_checkpoint_verifies_nothing(tmp_path, monkeypa
         assert report.stream_hash == first.stream_hash
         assert out.read_bytes() == written
         assert ck.read_bytes() == saved
+
+
+def test_family_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # a --jobs 3 run of two chunks forks two workers, and a --jobs 2 rerun of
+    # a finished run forks none
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    fork = multiprocessing.get_context("fork")
+    sizes = []
+
+    class Context:
+        def Pool(self, processes):
+            sizes.append(processes)
+            return fork.Pool(processes)
+
+    monkeypatch.setattr(verify_module.multiprocessing, "get_context",
+                        lambda method: Context())
+    base = dict(g=21, r=6, d=24, rho_max=0, limit=80,
+                out_path=str(tmp_path / "v.jsonl"),
+                checkpoint_path=str(tmp_path / "v.ck"))
+    first = verify_family(FamilyConfig(**base, jobs=3))
+    assert sizes == [2]
+    again = verify_family(FamilyConfig(**base, jobs=2))
+    assert sizes == [2]
+    assert again.resumed_from == again.verified == 80
+    assert again.stream_hash == first.stream_hash
 
 
 def test_family_resume_rejects_output_it_cannot_cut(tmp_path, monkeypatch):
