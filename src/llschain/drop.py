@@ -105,24 +105,25 @@ failed greedy leaves, they are listed in row-major order, sorted by the
 position of their row in `pair_list` and then by start, whatever their
 bits.  Tests check this against random renumberings.
 
-Neighbouring tables of a range walk share most of their columns, and the
-scan resumes at the first column where the new call differs (see the
-`tensor` module).  Each thread keeps one context slot: the scan behind the
-last context it built, and that context.  A run closed before the resumed
-column read only shared columns, so the first runs of the new scan are the
-previous scan's, in the same order, and the new context keeps the previous
-one's first sections with their bits: their keys, rows and `starts`/`ends`
-entries are sliced and masked from it, never mutated, so an earlier
-context stays valid.  Only the runs closed from the resumed column on are
-added.  `cover` and `started` (sections starting at or before each column)
-are running ORs, and are rebuilt from the first column where an added
-section starts; before it they are the previous context's, masked.  The
-sections meeting block (u, v) are those that start at or before v and end
-at or after u, `started[v] & unended[u]`, with `unended` the suffix OR of
-`ends`; the list of blocks depends only on the genera and the degrees and
-is kept while they are.  The context's slot is its own: `section_runs` and
-`extract_potential_sections` scan in another, so calls to them between two
-contexts do not disturb the resume.
+Neighbouring tables of a range walk share most of their columns, and a
+scan resumes from an earlier one at the first column where the two calls
+differ (see the `tensor` module).  Each thread keeps one slot, the one
+owner of the resume: the last context it built and the scan that context
+read, published together as the last step of a build, so a build that
+raises leaves the previous pair in place.  Nothing in the slot is changed
+after it is published: the next scan returns a new record, and the next
+context slices and masks what it keeps, so an earlier context stays valid.
+A run closed before the resumed column read only shared columns, so the
+first runs of the new scan are the previous scan's, in the same order, and
+the new context keeps the previous one's first sections with their bits:
+their keys, rows and `starts`/`ends` entries.  Only the runs closed from
+the resumed column on are added.  `cover` and `started` (sections starting
+at or before each column) are running ORs, and are rebuilt from the first
+column where an added section starts; before it they are the previous
+context's, masked.  The sections meeting block (u, v) are those that start
+at or before v and end at or after u, `started[v] & unended[u]`, with
+`unended` the suffix OR of `ends`; the list of blocks depends only on the
+genera and the degrees and is kept while they are.
 
 Building a context is linear in columns and sections, and along a range
 walk in the rescanned columns and the sections added.  The reader,
@@ -157,12 +158,13 @@ from __future__ import annotations
 import functools
 import json
 import operator
+import threading
 from dataclasses import dataclass, field
 
 from .enumeration import _bits
 from .multidegree import MultidegreeError, TwistVector, degrees_unimaginative
 from .table import VanishingTable, pair_list
-from .tensor import PotentialSection, _Scan, pair_positions, scan_runs
+from .tensor import PotentialSection, pair_positions, scan_runs
 
 CERTIFICATE_VERSION = 1
 
@@ -171,14 +173,13 @@ class MalformedCertificate(ValueError):
     pass
 
 
-class _LastContext(_Scan):
-    """The scan behind the last `DropContext` built in this thread, and that
-    context once it is complete (None until then), so that the next context
-    resumes from exactly the scan it read."""
+class _LastContext(threading.local):
+    """The last `DropContext` built in this thread and the scan it read,
+    published together once the context is complete (both None until the
+    first), so that the next context resumes from exactly that scan."""
 
     def __init__(self) -> None:
-        super().__init__()
-        self.context: DropContext | None = None
+        self.scan = self.context = None
 
 
 _last_context = _LastContext()
@@ -187,15 +188,21 @@ _last_context = _LastContext()
 class DropContext:
     """Static data shared by all rule evaluations for one (table, w) pair.
 
-    The rules are defined only for an unimaginative `w`, so any other is
-    rejected (the component degrees are computed once, for that check and
-    for ``degree``).  The sections come from :func:`~llschain.tensor.scan_runs`
-    in this thread's context slot, numbered in the order the scan closed
-    their runs; each has its key in ``sections``, its row's position in
-    ``pair_of`` and its bit.  Sections are read only through masks, bit i
-    standing for ``sections[i]``: ``starts[x]`` and ``ends[x]`` hold the
-    sections starting or ending at column x, ``cover[x]`` those covering it
-    (one running OR over the columns, adding ``starts[x]`` and then clearing
+    The table must be refined, as `validate_table` requires: every caller
+    validates it first.  The rules then read each column's facts off the
+    interned columns ``cols`` (``table.columns``, not copied): its tensor
+    sums ``ta``/``tb``, its exceptional rows ``exc`` and its box-adding row
+    ``box``, which on a refined table is exactly
+    ``table.shape.delta[x + 1]``.  The rules are defined only for an
+    unimaginative `w`, so any other is rejected (the component degrees are
+    computed once, for that check and for ``degree``).  The sections come from
+    :func:`~llschain.tensor.scan_runs`, resumed from the scan in this
+    thread's slot and numbered in the order the scan closed their runs; each
+    has its key in ``sections``, its row's position in ``pair_of`` and its
+    bit.  Sections are read only through masks, bit i standing for
+    ``sections[i]``: ``starts[x]`` and ``ends[x]`` hold the sections
+    starting or ending at column x, ``cover[x]`` those covering it (one
+    running OR over the columns, adding ``starts[x]`` and then clearing
     ``ends[x]``), ``started[x]`` those starting at or before x and
     ``unended[x]`` those ending at or after x, so that the sections meeting
     block (u, v) are ``started[v] & unended[u]``.  ``blocks`` lists the
@@ -208,24 +215,24 @@ class DropContext:
     taken from that context, sliced and masked, never mutated, and only the
     other sections are added; ``cover`` and ``started`` are rebuilt from the
     first column where one of those starts.  ``blocks`` is the previous
-    context's while the genera and the degrees are.
+    context's while the genera and the degrees are.  The slot is replaced
+    by this context and its scan only once the build is complete.
     """
 
     __slots__ = (
-        "table_hash", "w", "n", "d2", "genera", "degree", "delta", "exc",
-        "sections", "pair_of", "ta", "tb", "diagonal", "cover",
+        "table_hash", "w", "n", "d2", "genera", "degree", "cols",
+        "sections", "pair_of", "diagonal", "cover",
         "starts", "ends", "started", "unended", "blocks",
     )
 
     def __init__(self, table: VanishingTable, w: TwistVector):
         slot = _last_context
-        prev, slot.context = slot.context, None
+        prev = slot.context
         # checks w's length, total and bounds
-        kept = scan_runs(slot, table, w)
-        if prev is None:
-            kept = 0
+        scan = scan_runs(slot.scan, table, w)
+        kept = scan.kept
         self.n = n = table.n_columns
-        ext = slot.ext
+        ext = scan.ext
         self.genera = genera = table.chain.genera
         self.degree = degree = tuple(map(operator.sub, ext[2:], ext[1:-1]))
         if prev is not None and prev.genera is genera and prev.degree == degree:
@@ -234,16 +241,12 @@ class DropContext:
             if not degrees_unimaginative(genera, degree):
                 raise MultidegreeError("twist vector is not unimaginative")
             self.blocks = _blocks(genera, degree)
-        cols = table.columns
+        self.cols = table.columns
         self.table_hash = table.hash
         self.w = w
         self.d2 = 2 * table.d
-        self.delta = table.shape.delta[1:]
-        self.exc = list(map(_exc_of, cols))
-        self.ta = tuple(map(_ta_of, cols))
-        self.tb = tuple(map(_tb_of, cols))
         self.diagonal = _diagonal(table.r)
-        new = slot.out[kept:]
+        new = scan.out[kept:]
         if kept:
             low = (1 << kept) - 1
             sections, pair_of = prev.sections[:kept], prev.pair_of[:kept]
@@ -282,12 +285,9 @@ class DropContext:
         self.sections, self.pair_of = sections, pair_of
         self.starts, self.ends, self.cover = starts, ends, cover
         self.started, self.unended = started, unended
-        slot.context = self
+        slot.scan, slot.context = scan, self
 
 
-_exc_of = operator.attrgetter("exc")
-_ta_of = operator.attrgetter("ta")
-_tb_of = operator.attrgetter("tb")
 # a PotentialSection from its (row, start, end), without a Python-level call
 _section = functools.partial(tuple.__new__, PotentialSection)
 
@@ -318,13 +318,14 @@ def _blocks(genera, degree) -> tuple[tuple[int, int], ...]:
 
 def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
     """Level of column x: 0 none, 1 semicritical, 2 critical."""
-    dj = ctx.delta[x]
+    col = ctx.cols[x]
+    dj = col.box
     if dj is None:
         return 0
     live = alive & ctx.cover[x]
     if not live:
         return 2
-    ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
+    ta, tb, pair_of = col.ta, col.tb, ctx.pair_of
     mina = minb = ctx.d2
     m = live
     while m:
@@ -337,7 +338,7 @@ def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
             minb = tb[p]
     if mina + minb < ctx.d2 - 2:
         return 0
-    exc = ctx.exc[x]
+    exc = col.exc
     if exc:
         m = live
         while m:
@@ -349,7 +350,7 @@ def _semicritical(ctx: DropContext, alive: int, x: int) -> int:
                 if other != dj and other in exc:
                     return 0
     p = ctx.diagonal[dj]
-    if mina == ctx.ta[x][p] - 1 and minb == ctx.tb[x][p] - 1:
+    if mina == ta[p] - 1 and minb == tb[p] - 1:
         return 1
     return 2
 
@@ -402,15 +403,17 @@ def _find(ctx: DropContext, alive: int, rule: str, where, anchored: bool = False
     if rule == "ii":
         if ctx.genera[x] != 1 or live.bit_count() > 2:
             return None
+        exc = ctx.cols[x].exc
         for i in _bits(live):
             for j in ctx.sections[i].row:
-                if j in ctx.exc[x]:
+                if j in exc:
                     return None
         return (None, live)
     # rule (i): a unique minimal a-value, else a unique minimal b-value
     if not live & (live - 1):
         return ("a", live)
-    ta, tb, pair_of = ctx.ta[x], ctx.tb[x], ctx.pair_of
+    col = ctx.cols[x]
+    ta, tb, pair_of = col.ta, col.tb, ctx.pair_of
     best_a = best_b = None
     lo_a = lo_b = None
     count_a = count_b = 0

@@ -12,37 +12,35 @@ A potential section is a maximal contiguous run of appearing columns,
 trimmed on the left until it potentially starts and on the right until it
 potentially ends.  Appearing columns shaved off in the trim belong to no
 section.  :func:`scan_runs` is the one scan that finds them, read by
-``DropContext(table, w)`` and, through :func:`section_runs`, by
-:func:`extract_potential_sections`.  It compares all rows of a column at
-once: each column holds its sums packed one field per row pair with a
-guard bit on top, so a subtraction and a mask yield the "at least c" flag
-of every row (a SWAR compare, after Lamport, *Multiple byte processing
-with full-word instructions*, CACM 1975), and the scan costs a few big-int
-operations per column plus a few steps per section rather than a
-comparison per row and column.
+``DropContext(table, w)`` and by :func:`extract_potential_sections`.  It
+compares all rows of a column at once: each column holds its sums packed
+one field per row pair with a guard bit on top, so a subtraction and a mask
+yield the "at least c" flag of every row (a SWAR compare, after Lamport,
+*Multiple byte processing with full-word instructions*, CACM 1975), and the
+scan costs a few big-int operations per column plus a few steps per section
+rather than a comparison per row and column.
 
 Neighbouring tables of a range walk share most of their columns (on the
 (21,6,24) rho-0 family the first changed column has median 18 of 21), and
 the scan at a column depends only on that column, its two twist values and
-the state the columns before it left.  So the scan keeps its previous call
-in a slot, one per thread, and resumes at the first column where the new
-call differs.  Sorted samples share less (consecutive seed-1 two-swap samples
-of (23,6,26): a median 6 leading columns); no shared column means a rescan.
+the state the columns before it left.  So a scan can resume from an earlier
+one, at the first column where the two calls differ.  Sorted samples share
+less (consecutive seed-1 two-swap samples of (23,6,26): a median 6 leading
+columns); no shared column means a rescan.
 
-:func:`scan_runs` works in the slot it is handed and leaves the runs in
-the order it closes them: by the column at which each run stops
-appearing, then by row position.  That order is stable under a resume: the
-runs closed before the first changed column read only shared columns, so
-they are the previous call's first runs, in the same order.
-:func:`section_runs` scans in this module's slot and sorts the runs into
-row-major order; ``DropContext`` scans in a slot of its own and numbers its
-sections in the closing order, so that it can keep the previous context's
-first sections (see the `drop` module).
+:func:`scan_runs` is a pure function of the scan it resumes from: it
+returns a new record and never changes the one it was handed, so the caller
+alone decides which scan to keep (``DropContext`` keeps one per thread, see
+the `drop` module).  The record lists the runs in the order the scan closed
+them: by the column at which each run stops appearing, then by row
+position.  That order is stable under a resume: the runs closed before the
+first changed column read only shared columns, so they are the earlier
+scan's first runs, in the same order.  :func:`extract_potential_sections`
+scans from nothing and sorts the runs into row-major order.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -96,38 +94,37 @@ class PotentialSection(NamedTuple):
         return {"row": list(self.row), "start": self.start, "end": self.end}
 
 
-class _Scan(threading.local):
-    """The previous scan of :func:`scan_runs` in one slot in this thread,
-    kept so that the next scan on a table sharing a prefix of columns
-    resumes where the two differ.
+class _Scan:
+    """One complete scan of :func:`scan_runs`, never changed once returned,
+    so that a later scan of a table sharing a prefix of columns resumes
+    from it where the two differ.
 
-    ``key`` is ``(r, d, n)``, or None while no complete scan is held;
-    ``cols`` and ``ext`` are that call's columns and extended twist vector.
-    Per column x, ``states[x]`` is the scan state before it,
-    ``(waiting, opened, prev, len(out))``, ``begins[x]`` the pairs whose
-    section started there and ``endable[x]`` the pairs that may end there;
-    ``out`` holds the runs in the order they closed.  :func:`section_runs`
-    scans in ``_last_scan``; ``DropContext`` has a slot of its own.
+    ``key`` is ``(r, d, n)``; ``cols`` and ``ext`` are the scanned columns
+    and extended twist vector.  Per column x, ``states[x]`` is the scan
+    state before it, ``(waiting, opened, last, len(out))``, ``begins[x]``
+    the pairs whose section started there and ``endable[x]`` the pairs that
+    may end there; ``out`` holds the runs in the order they closed, and
+    ``kept`` how many of them are the first runs of the scan resumed from,
+    unchanged (0 for a scan from nothing).
     """
 
-    def __init__(self) -> None:
-        self.key = self.cols = self.ext = None
-        self.states: list[tuple[int, int, int, int]] = []
-        self.begins: list[int] = []
-        self.endable: list[int] = []
-        self.out: list[tuple[int, int, int]] = []
+    __slots__ = ("key", "cols", "ext", "states", "begins", "endable", "out",
+                 "kept")
+
+    def __init__(self, key, cols, ext, states, begins, endable, out, kept):
+        self.key, self.cols, self.ext = key, cols, ext
+        self.states, self.begins, self.endable = states, begins, endable
+        self.out, self.kept = out, kept
 
 
-_last_scan = _Scan()
-
-
-def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
-    """Scan the potential sections of (table, w) in the slot `last`, leaving
-    (pair position, first column, last column), 0-based, of every potential
-    section in ``last.out`` in the order the scan closed their runs, and
-    return how many of them the previous scan in the slot had closed before
-    the first column this scan rescanned: the first that many runs of
-    ``last.out`` are that scan's, unchanged.
+def scan_runs(prev: _Scan | None, table: VanishingTable,
+              w: TwistVector) -> _Scan:
+    """The scan of the potential sections of (table, w), resumed from the
+    scan `prev` (None: from nothing), which it leaves as it was.  Its
+    ``out`` lists (pair position, first column, last column), 0-based, of
+    every potential section in the order the scan closed their runs, and
+    its ``kept`` counts the first of them that `prev` had closed before the
+    first column this scan rescanned.
 
     One left-to-right pass over the columns' packed sums (see
     :func:`~llschain.table.packing`) flags, at each column, the appearing,
@@ -138,15 +135,15 @@ def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
     in row-position order.
 
     Column x reads only its packed sums, ``ext[x+1]``, ``ext[x+2]`` and its
-    position, so the pass resumes from the previous scan in the slot: with
-    equal ``(r, d, n)`` it restarts at the first column that is not the same
-    interned :class:`Column` or whose two twist values differ (at most the
-    last column), from the state saved before it.  A run still open there
-    takes its first column from the last begin mask before it, and a run
-    that closed earlier read only the shared ``endable`` entries.  A table
-    whose first column differs from the previous scan's resumes at column 0.
+    position, so the pass resumes from `prev`: with equal ``(r, d, n)`` it
+    restarts at the first column that is not the same interned
+    :class:`Column` or whose two twist values differ (at most the last
+    column), from a copy of the state `prev` saved before it.  A run still
+    open there takes its first column from the last begin mask before it,
+    and a run that closed earlier read only the shared ``endable`` entries.
+    A table whose first column differs from `prev`'s resumes at column 0.
     Only the rescanned columns are checked for sums outside 0..2d; the
-    shared ones are the same objects the previous scan checked.
+    shared ones are the same objects `prev` checked.
     """
     cols = table.columns
     n = len(cols)
@@ -160,11 +157,11 @@ def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
     ext = w.extended()
     key = (table.r, table.d, n)
     k = 0
-    if last.key == key:
+    if prev is not None and prev.key == key:
         # column x reads ext[x + 1] and ext[x + 2]; as ext[1] is always 0,
         # the first column reading a changed value is the first x whose
         # ext[x + 2] changed
-        prev_cols, prev_ext = last.cols, last.ext
+        prev_cols, prev_ext = prev.cols, prev.ext
         while (k < n - 1 and cols[k] is prev_cols[k]
                and ext[k + 2] == prev_ext[k + 2]):
             k += 1
@@ -172,12 +169,15 @@ def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
         if cols[x].pa is None:
             raise TableError("tensor sums outside 0..2d: the table is not valid")
     f, ones, guard = packing(table.r, table.d)
-    last.key = None   # until this scan completes
-    states, begins, endable, out = last.states, last.begins, last.endable, last.out
     # open runs whose section has not started yet, open runs whose section
     # has, the pairs appearing at the previous column, and the runs closed
-    waiting, opened, prev, kept = states[k] if k else (0, 0, 0, 0)
-    del states[k:], begins[k:], endable[k:], out[kept:]
+    if k:
+        waiting, opened, last, kept = prev.states[k]
+        states, begins = prev.states[:k], prev.begins[:k]
+        endable, out = prev.endable[:k], prev.out[:kept]
+    else:
+        waiting = opened = last = kept = 0
+        states, begins, endable, out = [], [], [], []
     first = {}        # guard bit -> first column of its open section
     mask, x = opened, k
     while mask:       # an open run began at its bit's last begin before k
@@ -203,14 +203,14 @@ def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
 
     for x in range(k, n):
         col = cols[x]
-        states.append((waiting, opened, prev, len(out)))
+        states.append((waiting, opened, last, len(out)))
         ge_a = (col.pa | guard) - ext[x + 1] * ones
         ge_b = (col.pb | guard) - (d2 - ext[x + 2]) * ones
         here = ge_a & ge_b & guard
         if opened & ~here:
             close(opened & ~here, x)
             opened &= here
-        waiting = (waiting & here) | (here & ~prev)
+        waiting = (waiting & here) | (here & ~last)
         begin = waiting if x == 0 else waiting & (ge_a - ones)
         begins.append(begin)
         if begin:
@@ -221,24 +221,15 @@ def scan_runs(last: _Scan, table: VanishingTable, w: TwistVector) -> int:
                 begin ^= bit
                 first[bit] = x
         endable.append(here if x == n - 1 else here & (ge_b - ones))
-        prev = here
+        last = here
     close(opened, n)
-    last.key, last.cols, last.ext = key, cols, ext
-    return kept
-
-
-def section_runs(table: VanishingTable, w: TwistVector) -> list[tuple[int, int, int]]:
-    """(pair position, first column, last column) of every potential section,
-    0-based, in row-major order, left to right within a row: the runs of
-    :func:`scan_runs`, scanned in this module's slot (one per thread), and
-    sorted."""
-    scan_runs(_last_scan, table, w)
-    return sorted(_last_scan.out)
+    return _Scan(key, cols, ext, states, begins, endable, out, kept)
 
 
 def extract_potential_sections(table: VanishingTable,
                                w: TwistVector) -> list[PotentialSection]:
-    """All potential sections in row-major order, left to right within a row."""
+    """All potential sections in row-major order, left to right within a
+    row: the runs of a scan from nothing, sorted."""
     pairs = pair_list(table.r)
     return [PotentialSection(pairs[p], s + 1, e + 1)
-            for p, s, e in section_runs(table, w)]
+            for p, s, e in sorted(scan_runs(None, table, w).out)]

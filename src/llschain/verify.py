@@ -19,19 +19,21 @@ the two 3-cycle shapes, the extra side condition holds:
 Disjoint-swap and cycle2 verdicts carry the left-weighted requirement as a
 recorded flag with the minimal weight vector attached.
 
-A family run covers one index sequence, ``TableEnumerator.run_indices``: the
-stratum's range or a seeded sample, cut to ``limit`` from its start.  Its
-chunks are consecutive slices of that sequence, verified in order or by
+A family run covers one index sequence, ``TableEnumerator.run_indices``:
+the stratum's range or a seeded sample, cut to ``limit`` from its start.
+Its chunks are consecutive slices of that sequence, verified in order or by
 worker processes.  Verdicts stream as JSONL with a chained stream hash, and
 a checkpoint after every merged chunk records how many indices are done and
 the JSONL's length.  A resume cuts off lines written past it and continues
 the same sequence, so rerunning the identical command after a stop or a
-hard kill finishes exactly the uninterrupted run.  One ``Tally`` holds the
-run's counts: pass/fail, per-class and per-side counts, and the structural
-invariant checks (spanning bound, swap bound, disconnection bound) observed
-along the way.  Each chunk fills one, the run merges them in stream order,
-the checkpoint saves the merged tally and ``Report`` extends it; a
-checkpoint of an older layout does not match any run.
+hard kill finishes exactly the uninterrupted run; the pool workers of a run
+killed outright exit by themselves, quietly, after their current table.
+One ``Tally`` holds the run's counts: pass/fail, per-class and per-side
+counts, and the structural invariant checks (spanning bound, swap bound,
+disconnection bound) observed along the way.  Each chunk fills one, the run
+merges them in stream order, the checkpoint saves the merged tally and
+``Report`` extends it; a checkpoint of an older layout does not match any
+run.
 
 A run's ``--emit-certs`` choice reaches each table as
 ``verify_table(table, index, with_certificate)``.  A verdict holds a
@@ -400,14 +402,36 @@ def _worker_enumerator(spec: tuple) -> TableEnumerator:
     return TableEnumerator(*spec)
 
 
+class _PoolWorker(multiprocessing.context.ForkProcess):
+    """A fork pool worker that exits quietly, with status 0, when the pipe
+    to its parent breaks while it sends a chunk's result: the parent has
+    died, and no one is left to read it.  The result queue releases its
+    write lock as the error unwinds, so a worker waiting to send next meets
+    the broken pipe and exits the same way."""
+
+    def run(self) -> None:
+        with contextlib.suppress(BrokenPipeError):
+            super().run()
+
+
+class _PoolContext(multiprocessing.context.ForkContext):
+    Process = _PoolWorker
+
+
 def _verify_chunk(args: tuple) -> tuple[list[str], Tally]:
-    spec, indices, emit_certs = args
+    """The verdict lines and tally of one chunk.  In a pool worker, `parent`
+    is the pid of the run that forked it, and a worker whose parent has died
+    exits quietly with status 0 after its current table, since no one is
+    left to read the chunk; a chunk run in the parent has `parent` None."""
+    spec, indices, emit_certs, parent = args
     lines: list[str] = []
     tally = Tally()
     for idx, table in _worker_enumerator(spec).iter_indices(indices):
         verdict = verify_table(table, index=idx, with_certificate=emit_certs)
         lines.append(verdict.to_line())
         tally.add(verdict)
+        if parent is not None and os.getppid() != parent:
+            os._exit(0)
     return lines, tally
 
 
@@ -499,10 +523,11 @@ def verify_family(config: FamilyConfig) -> Report:
     tally = Tally(**checkpoint.get("tally", {}))
 
     chunks = range(done, len(indices), _CHUNK_SIZE)
-    tasks = ((spec, indices[lo:lo + _CHUNK_SIZE], config.emit_certificates)
-             for lo in chunks)
     # no more workers than tasks, and none when nothing is left
     jobs = min(config.jobs, len(chunks))
+    parent = os.getpid() if jobs > 1 else None
+    tasks = ((spec, indices[lo:lo + _CHUNK_SIZE], config.emit_certificates,
+              parent) for lo in chunks)
     with contextlib.ExitStack() as stack:
         out_fh = None
         if config.out_path:
@@ -510,7 +535,7 @@ def verify_family(config: FamilyConfig) -> Report:
         results = map(_verify_chunk, tasks)
         if jobs > 1:
             pool = stack.enter_context(
-                multiprocessing.get_context("fork").Pool(jobs))
+                _PoolContext().Pool(jobs))
             results = pool.imap(_verify_chunk, tasks)
         for lines, chunk_tally in results:
             for line in lines:

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -141,15 +142,20 @@ def _verify_cmd(tmp_path, name, jobs, *run):
             "--out", str(tmp_path / f"{name}.jsonl")]
 
 
+def _cli_env():
+    """The environment that runs this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def _kill_then_finish(cmd, rng, runs=3, span=0.0):
     """Start ``cmd`` ``runs`` times in its own session, SIGKILL its process
     group (pool workers included) at a seeded random moment within the first
     0.1 to 0.9 of ``span`` seconds, then run it to completion: (its report,
     the number of runs killed)."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env = _cli_env()
     kills = 0
     for _ in range(runs):
         proc = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL,
@@ -196,6 +202,39 @@ def test_cli_verify_sampled_resumes_after_hard_kills(tmp_path):
     # cuts the sample, so the run stops short of its 6,000 draws
     run = ("--mode", "sampled", "--n", "6000", "--seed", "3", "--limit", "4000")
     _assert_resumes_after_hard_kills(tmp_path, random.Random(14), run, 4000)
+
+
+def test_pool_workers_of_a_killed_parent_exit_quietly(tmp_path):
+    # SIGKILL only the parent of a two-job run, once it has merged a chunk:
+    # its pool workers, mid-chunk, exit after their current table without a
+    # traceback, and rerunning the identical command finishes the bytes of
+    # the uninterrupted run
+    run = ("--limit", "8000")
+    _kill_then_finish(_verify_cmd(tmp_path, "ref", 1, *run), None, runs=0)
+    cmd = _verify_cmd(tmp_path, "orphans", 2, *run)
+    ck = tmp_path / "orphans.ck"
+    proc = subprocess.Popen(cmd, env=_cli_env(), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        while proc.poll() is None and not (
+                ck.exists() and json.loads(ck.read_text())["done"] >= 2000):
+            time.sleep(0.01)
+        proc.kill()
+        proc.wait()
+        killed = time.monotonic()
+        # the workers share the parent's stderr, so it ends when the last exits
+        _, err = proc.communicate(timeout=60)
+        lingered = time.monotonic() - killed
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert json.loads(ck.read_text())["done"] < 8000, "the run ended before the kill"
+    assert b"Traceback" not in err, err.decode()
+    # a table takes about a millisecond, a chunk of 2,000 about a second
+    assert lingered < 1.0
+    subprocess.run(cmd, env=_cli_env(), stdout=subprocess.DEVNULL, check=True)
+    assert (tmp_path / "orphans.jsonl").read_bytes() == \
+        (tmp_path / "ref.jsonl").read_bytes()
 
 
 def test_cli_verify_refuses_resume_without_out(capsys, tmp_path):

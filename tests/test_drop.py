@@ -43,7 +43,6 @@ from llschain import drop as drop_module
 from llschain import verify as verify_module
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import iter_candidate_multidegrees, twist_from_threes
-from llschain.tensor import section_runs
 
 from test_tensor import naive_sections
 
@@ -953,8 +952,8 @@ def test_contexts_resume_between_two_alternating_tables():
 
 
 def test_contexts_resume_across_other_scans():
-    # section_runs and extract_potential_sections, on neighbours and on
-    # unrelated tables, scan in a slot of their own
+    # extract_potential_sections, on neighbours and on unrelated tables,
+    # scans from nothing and leaves the context slot alone
     walk = [t for _, t in _enumerator(_FAMILIES[1]).iter_range(500_000, 30)]
     others = [t for _, t in _enumerator(_FAMILIES[2]).iter_range(0, 30)]
     calls = _candidates(walk, 2)
@@ -962,11 +961,34 @@ def test_contexts_resume_across_other_scans():
     def scan(k):
         table = others[k % len(others)] if k % 3 else calls[k][0]
         w = default_multidegree(table)
-        section_runs(table, w)
+        extract_potential_sections(table, w)
         extract_potential_sections(calls[k - 1][0] if k else table,
                                    calls[k - 1][1] if k else w)
 
     _check_resumed_contexts(calls, scan)
+
+
+def test_rejected_build_leaves_the_slot_as_it_was():
+    # a build that raises on a w that is not unimaginative publishes nothing,
+    # not even its complete scan: the next context, on a neighbour sharing
+    # most of that scan's columns, resumes from the pair before the raise
+    walk = [t for _, t in _enumerator(_FAMILIES[0]).iter_range(9_000, 13)]
+    others = [t for _, t in _enumerator(_FAMILIES[0]).iter_range(700_000, 12)]
+    for other, table, neighbour in zip(others, walk, walk[1:]):
+        DropContext(other, default_multidegree(other))
+        pair = (drop_module._last_context.scan, drop_module._last_context.context)
+        w = default_multidegree(table)
+        # column n - 1 of degree 4 or 1, column n of 1 or 4: sections are
+        # defined there, the dropping rules are not
+        shift = 1 if w.c[-1] - w.c[-2] == 3 else -1
+        bad = TwistVector(w.D, (*w.c[:-1], w.c[-1] + shift))
+        assert extract_potential_sections(table, bad)
+        with pytest.raises(MultidegreeError, match="unimaginative"):
+            DropContext(table, bad)
+        assert (drop_module._last_context.scan,
+                drop_module._last_context.context) == pair
+        ctx = DropContext(neighbour, w)
+        assert _canonical(ctx) == _canonical(_cold(neighbour, w))
 
 
 def test_contexts_resume_per_thread():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import random
 import sys
@@ -16,12 +17,11 @@ from llschain import (
     pair_list,
     table_from_columns,
 )
-from llschain import tensor as tensor_module
 from llschain.enumeration import TableEnumerator
 from llschain.multidegree import (MultidegreeError, TwistVector,
                                   degree_three_columns, twist_from_threes)
 from llschain.table import packing
-from llschain.tensor import section_runs
+from llschain.tensor import scan_runs
 from test_table import _reference_table_hash, refined_tables
 
 
@@ -203,8 +203,18 @@ _SCAN_FAMILIES = [TableEnumerator(21, 6, 24, 0),
 
 
 def _scan_sections(table, w):
+    return [(s.row, s.start, s.end) for s in extract_potential_sections(table, w)]
+
+
+def _runs_sections(table, scan):
+    """The sections of a scan record of `table`, in row-major order."""
     pairs = pair_list(table.r)
-    return [(pairs[p], s + 1, e + 1) for p, s, e in section_runs(table, w)]
+    return [(pairs[p], s + 1, e + 1) for p, s, e in sorted(scan.out)]
+
+
+def _fields(scan):
+    """Every field of a scan record, its lists copied."""
+    return {name: copy.copy(getattr(scan, name)) for name in scan.__slots__}
 
 
 @st.composite
@@ -219,7 +229,7 @@ def genus0_tables_and_twists(draw):
 
 @st.composite
 def scan_calls(draw):
-    """A sequence of section_runs calls, as (table, w) or (table, bad w):
+    """A sequence of scan_runs calls, as (table, w) or (table, bad w):
     runs of range-walk neighbours at the default multidegree, unrelated
     tables, the same table twice, another candidate w (a 3 moved to a
     neighbouring column, or anywhere), other (r, d, n), genus-0 columns and
@@ -271,13 +281,20 @@ def scan_calls(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(scan_calls())
 def test_resumed_scan_matches_naive_oracle_along_call_sequences(calls):
+    # each scan resumes from the last one that completed; a rejected call
+    # leaves it to the next, and no scan changes the record it resumed from
+    scan, records = None, []
     for table, w in calls:
         if w.n_components != table.n_columns:
             with pytest.raises(MultidegreeError):
-                section_runs(table, w)
+                scan_runs(scan, table, w)
             continue
-        assert _scan_sections(table, w) == \
+        scan = scan_runs(scan, table, w)
+        records.append((scan, _fields(scan)))
+        assert _runs_sections(table, scan) == \
             naive_sections(build_tensor_table(table), w)
+    for record, fields in records:
+        assert _fields(record) == fields
 
 
 def test_scan_resumes_at_first_changed_column():
@@ -290,11 +307,13 @@ def test_scan_resumes_at_first_changed_column():
         w = default_multidegree(prev)
         if default_multidegree(table) != w:
             continue
-        section_runs(prev, w)
-        before = list(tensor_module._last_scan.states)
-        assert _scan_sections(table, w) == \
+        scan = scan_runs(None, prev, w)
+        fields = _fields(scan)
+        resumed_scan = scan_runs(scan, table, w)
+        assert _runs_sections(table, resumed_scan) == \
             naive_sections(build_tensor_table(table), w)
-        after = tensor_module._last_scan.states
+        assert _fields(scan) == fields
+        before, after = scan.states, resumed_scan.states
         k = next(x for x, (c, p) in enumerate(zip(table.columns, prev.columns))
                  if c is not p)
         k = min(k, table.n_columns - 1)
@@ -305,8 +324,9 @@ def test_scan_resumes_at_first_changed_column():
 
 
 def test_resume_slots_are_per_thread():
-    # threads scanning and hashing their own runs of neighbours, switching
-    # every microsecond, each get the answers of a serial run
+    # threads extracting the sections of their own runs of neighbours and
+    # hashing them (the hash resumes in a slot per thread), switching every
+    # microsecond, each get the answers of a serial run
     enum = _SCAN_FAMILIES[0]
     runs = [[t for _, t in enum.iter_range(start, 25)]
             for start in (0, 400_000, 800_000, 1_200_000)]

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import json
-import multiprocessing
 import os
 from collections import Counter
 
@@ -386,16 +385,14 @@ def test_family_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
     # a --jobs 3 run of two chunks forks two workers, and a --jobs 2 rerun of
     # a finished run forks none
     monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
-    fork = multiprocessing.get_context("fork")
     sizes = []
 
-    class Context:
+    class Context(verify_module._PoolContext):
         def Pool(self, processes):
             sizes.append(processes)
-            return fork.Pool(processes)
+            return super().Pool(processes)
 
-    monkeypatch.setattr(verify_module.multiprocessing, "get_context",
-                        lambda method: Context())
+    monkeypatch.setattr(verify_module, "_PoolContext", Context)
     base = dict(g=21, r=6, d=24, rho_max=0, limit=80,
                 out_path=str(tmp_path / "v.jsonl"),
                 checkpoint_path=str(tmp_path / "v.ck"))
