@@ -47,6 +47,7 @@ import json
 import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add, itemgetter, mul
 
 from .chain import ChainCurve
 
@@ -296,6 +297,31 @@ def packing(r: int, d: int) -> tuple[int, int, int]:
     return f, ones, ones << (f - 1)
 
 
+def _rows_getter(rows: tuple[int, ...]):
+    """A function of a column that returns its entries at `rows`, as a tuple
+    (``itemgetter`` of one row returns the bare entry)."""
+    if len(rows) > 1:
+        return itemgetter(*rows)
+    return lambda col: tuple(col[j] for j in rows)
+
+
+@lru_cache(maxsize=None)
+def _tensor_terms(r: int, d: int) -> tuple:
+    """(first, second, weights) of the tensor sums of an (r + 1)-row column:
+    ``first``/``second`` return its entries at the lower/upper rows of the
+    pairs of :func:`pair_list` (r), and row j enters the packed sums (see
+    :func:`packing`) with weight ``weights[j]``, the sum of ``1 << p*f`` over
+    the pairs p holding j, with (j, j) counted twice."""
+    pairs = pair_list(r)
+    f = packing(r, d)[0]
+    weights = [0] * (r + 1)
+    for p, (j1, j2) in enumerate(pairs):
+        weights[j1] += 1 << (p * f)
+        weights[j2] += 1 << (p * f)
+    return (_rows_getter(tuple(j1 for j1, _ in pairs)),
+            _rows_getter(tuple(j2 for _, j2 in pairs)), tuple(weights))
+
+
 class Column:
     """The facts of one column (a, b) of genus `genus` that no other column
     affects.  Built once per distinct key by :func:`column`.
@@ -330,13 +356,14 @@ class Column:
         if self.height < 0:
             return
         rows = range(h)
-        pairs = pair_list(h - 1)
-        self.ta = tuple(a[j1] + a[j2] for j1, j2 in pairs)
-        self.tb = tuple(b[j1] + b[j2] for j1, j2 in pairs)
-        if all(0 <= v <= 2 * d for v in self.ta + self.tb):
-            f = packing(h - 1, d)[0]
-            self.pa = sum(v << (p * f) for p, v in enumerate(self.ta))
-            self.pb = sum(v << (p * f) for p, v in enumerate(self.tb))
+        first, second, weights = _tensor_terms(h - 1, d)
+        self.ta = tuple(map(add, first(a), second(a)))
+        self.tb = tuple(map(add, first(b), second(b)))
+        # every (j, j) is a pair, so the sums lie in 0..2d iff a and b do in 0..d
+        ab = a + b
+        if 0 <= min(ab, default=0) and max(ab, default=0) <= d:
+            self.pa = sum(map(mul, a, weights))
+            self.pb = sum(map(mul, b, weights))
         sums = [a[j] + b[j] for j in rows]
         self.swaps = tuple(
             (j, k, abs(a[j] - a[k]) == 1 and abs(b[j] - b[k]) == 1

@@ -21,16 +21,26 @@ recorded flag with the minimal weight vector attached.
 
 A family run covers one index sequence, ``TableEnumerator.run_indices``:
 the stratum's range or a seeded sample, cut to ``limit`` from its start.
-Its chunks are consecutive slices of that sequence, verified in order or by
-worker processes.  Verdicts stream as JSONL with a chained stream hash, and
-a checkpoint after every merged chunk records how many indices are done and
-the JSONL's length.  A resume cuts off lines written past it and continues
-the same sequence, so rerunning the identical command after a stop or a
-hard kill finishes exactly the uninterrupted run; the pool workers of a run
-killed outright exit by themselves, quietly, after their current table.
+Its chunks, consecutive slices of 2,000 indices of that sequence, are the
+units of checkpointing; its tasks are the units of work.  A run in process
+verifies each chunk as one task.  A run with several jobs cuts each chunk
+into tasks of at most 250 indices, none straddling two chunks, for a fork
+pool of no more workers than tasks, and merges their results in stream
+order; so a worker sends, and the parent holds, a few hundred lines at a
+time rather than a chunk's.  Verdicts stream as JSONL with a chained stream
+hash, and a checkpoint after every chunk's last task records how many
+indices are done and the JSONL's length.  A resume cuts off lines written
+past it and continues the same sequence, so rerunning the identical command
+after a stop or a hard kill finishes exactly the uninterrupted run; the
+pool workers of a run killed outright exit by themselves, quietly, at once
+when idle and otherwise after their current table.  A pool worker lost
+while the run goes on (say, to the OOM killer) takes its tasks with it: the
+parent sees its pipe end, stops the other workers, raises
+``ChildProcessError`` naming the worker, and the run can be resumed from
+its last checkpoint.
 One ``Tally`` holds the run's counts: pass/fail, per-class and per-side
 counts, and the structural invariant checks (spanning bound, swap bound,
-disconnection bound) observed along the way.  Each chunk fills one, the run
+disconnection bound) observed along the way.  Each task fills one, the run
 merges them in stream order, the checkpoint saves the merged tally and
 ``Report`` extends it; a checkpoint of an older layout does not match any
 run.
@@ -61,6 +71,7 @@ import collections
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -92,8 +103,11 @@ _FAILURE_EXAMPLES = 100
 _VIOLATION_EXAMPLES = 20
 # first entry of a checkpoint's spec; a checkpoint of another layout is refused
 _CHECKPOINT_LAYOUT = "tally"
-# tables per worker task, and per checkpoint
+# tables per checkpoint, and per task of a run verified in process
 _CHUNK_SIZE = 2000
+# most tables per pool task; a pool task is a slice of one chunk, so the lines
+# a worker sends, and the parent holds, stay small
+_TASK_SIZE = 250
 # json.dumps separators of a verdict line
 _COMPACT = (",", ":")
 
@@ -402,27 +416,101 @@ def _worker_enumerator(spec: tuple) -> TableEnumerator:
     return TableEnumerator(*spec)
 
 
-class _PoolWorker(multiprocessing.context.ForkProcess):
-    """A fork pool worker that exits quietly, with status 0, when the pipe
-    to its parent breaks while it sends a chunk's result: the parent has
-    died, and no one is left to read it.  The result queue releases its
-    write lock as the error unwinds, so a worker waiting to send next meets
-    the broken pipe and exits the same way."""
+def _serve(conn, parent_ends: list) -> None:
+    """A pool worker: verifies each task that comes down `conn` and sends
+    back its result, or the exception it raised.  It first closes its copies
+    of the parent's end of every pool pipe, so that it meets the end of its
+    own pipe, and exits quietly, when the parent closes it or dies; it exits
+    the same way when its parent has died while it sends a result."""
+    for end in parent_ends:
+        end.close()
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            task = conn.recv()
+            try:
+                result = _verify_task(task)
+            except Exception as exc:  # the parent raises it
+                result = exc
+            conn.send(result)
 
-    def run(self) -> None:
-        with contextlib.suppress(BrokenPipeError):
-            super().run()
+
+def _pool_results(tasks, jobs: int):
+    """The results of `tasks`, in order, from a fork pool of `jobs` workers.
+
+    Each worker has a pipe of its own and holds at most two tasks, the one
+    it verifies and the next, and at most 2 * `jobs` tasks are out beyond
+    the results merged, so a worker holds one task's lines at a time and the
+    parent at most 2 * `jobs` tasks'.  Workers share no lock, and one exits
+    only when the pool is closed or its parent has died, so a worker whose
+    pipe ends while the run goes on was lost (say, to the OOM killer) with
+    its tasks: this raises ``ChildProcessError`` naming it, and the pool is
+    closed as it unwinds."""
+    # imported here: a run in process needs no pipes
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    workers: dict = {}  # the parent's end of each pipe: (worker, its tasks)
+    numbered = enumerate(tasks)
+    results: dict = {}
+    sent = merged = 0
+
+    def lost(worker):
+        worker.join()
+        return ChildProcessError(
+            f"pool worker {worker.pid} exited with status {worker.exitcode} "
+            f"while the run went on; rerun the same command to resume")
+
+    try:
+        for _ in range(jobs):
+            conn, child = context.Pipe()
+            worker = context.Process(target=_serve, daemon=True,
+                                     args=(child, [*workers, conn]))
+            worker.start()
+            child.close()
+            workers[conn] = worker, collections.deque()
+        while True:
+            # a task to each worker with none, then one more to each
+            for depth in (1, 2):
+                for conn, (worker, held) in workers.items():
+                    if len(held) >= depth or sent - merged >= 2 * jobs:
+                        continue
+                    item = next(numbered, None)
+                    if item is None:
+                        break
+                    try:
+                        conn.send(item[1])
+                    except ConnectionError:
+                        raise lost(worker) from None
+                    held.append(item[0])
+                    sent += 1
+            if merged == sent:
+                return
+            for conn in wait(list(workers)):
+                worker, held = workers[conn]
+                try:
+                    result = conn.recv()
+                except (EOFError, OSError):
+                    raise lost(worker) from None
+                if isinstance(result, Exception):
+                    raise result
+                results[held.popleft()] = result
+            while merged in results:
+                yield results.pop(merged)
+                merged += 1
+    finally:
+        for conn, (worker, _) in workers.items():
+            conn.close()
+            worker.terminate()
+        for worker, _ in workers.values():
+            worker.join()
 
 
-class _PoolContext(multiprocessing.context.ForkContext):
-    Process = _PoolWorker
-
-
-def _verify_chunk(args: tuple) -> tuple[list[str], Tally]:
-    """The verdict lines and tally of one chunk.  In a pool worker, `parent`
-    is the pid of the run that forked it, and a worker whose parent has died
-    exits quietly with status 0 after its current table, since no one is
-    left to read the chunk; a chunk run in the parent has `parent` None."""
+def _verify_task(args: tuple) -> tuple[list[str], Tally]:
+    """The verdict lines and tally of one task, a slice of one chunk.  In a
+    pool worker, `parent` is the pid of the run that forked it, and a worker
+    whose parent has died exits quietly with status 0 after its current
+    table, since no one is left to read the task; a task run in the parent
+    has `parent` None."""
     spec, indices, emit_certs, parent = args
     lines: list[str] = []
     tally = Tally()
@@ -433,6 +521,15 @@ def _verify_chunk(args: tuple) -> tuple[list[str], Tally]:
         if parent is not None and os.getppid() != parent:
             os._exit(0)
     return lines, tally
+
+
+def _task_bounds(start: int, end: int, size: int):
+    """(lo, hi) of each task of indices start..end: consecutive slices of at
+    most `size`, cut at every chunk boundary start + k * _CHUNK_SIZE."""
+    for chunk in range(start, end, _CHUNK_SIZE):
+        stop = min(chunk + _CHUNK_SIZE, end)
+        for lo in range(chunk, stop, size):
+            yield lo, min(lo + size, stop)
 
 
 def _checkpoint_spec(config: FamilyConfig) -> list:
@@ -522,29 +619,34 @@ def verify_family(config: FamilyConfig) -> Report:
     stream_hash = checkpoint.get("stream_hash", "")
     tally = Tally(**checkpoint.get("tally", {}))
 
-    chunks = range(done, len(indices), _CHUNK_SIZE)
+    end = len(indices)
+    # in process a chunk is one task: there is no message to shrink, and each
+    # task restarts the walk and the drop context's resume
+    size = _CHUNK_SIZE if config.jobs == 1 else _TASK_SIZE
     # no more workers than tasks, and none when nothing is left
-    jobs = min(config.jobs, len(chunks))
+    jobs = len(list(itertools.islice(
+        _task_bounds(done, end, size), config.jobs)))
     parent = os.getpid() if jobs > 1 else None
-    tasks = ((spec, indices[lo:lo + _CHUNK_SIZE], config.emit_certificates,
-              parent) for lo in chunks)
+    tasks = ((spec, indices[lo:hi], config.emit_certificates, parent)
+             for lo, hi in _task_bounds(done, end, size))
     with contextlib.ExitStack() as stack:
         out_fh = None
         if config.out_path:
             out_fh = stack.enter_context(_open_output(config, checkpoint))
-        results = map(_verify_chunk, tasks)
+        results = map(_verify_task, tasks)
         if jobs > 1:
-            pool = stack.enter_context(
-                _PoolContext().Pool(jobs))
-            results = pool.imap(_verify_chunk, tasks)
-        for lines, chunk_tally in results:
+            results = stack.enter_context(
+                contextlib.closing(_pool_results(tasks, jobs)))
+        for lines, task_tally in results:
             for line in lines:
                 if out_fh:
                     out_fh.write(line + "\n")
                 stream_hash = _chain_hash(stream_hash, line)
             done += len(lines)
-            tally.merge(chunk_tally)
-            _save_checkpoint(config, done, stream_hash, tally, out_fh)
+            tally.merge(task_tally)
+            # a checkpoint after each chunk's last task
+            if (done - resumed_from) % _CHUNK_SIZE == 0 or done == end:
+                _save_checkpoint(config, done, stream_hash, tally, out_fh)
 
     return Report(
         g=config.g, r=config.r, d=config.d,

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from llschain import VanishingTable, g22_example
+from llschain import verify as verify_module
 from llschain.cli import main
 from llschain.render import (
     multidegree_header,
@@ -234,6 +235,73 @@ def test_pool_workers_of_a_killed_parent_exit_quietly(tmp_path):
     assert lingered < 1.0
     subprocess.run(cmd, env=_cli_env(), stdout=subprocess.DEVNULL, check=True)
     assert (tmp_path / "orphans.jsonl").read_bytes() == \
+        (tmp_path / "ref.jsonl").read_bytes()
+
+
+# `llschain verify` with chunks of 40 in tasks of 15, one of whose pool
+# workers is SIGKILLed, as by the OOM killer, once the first chunk's
+# checkpoint is written: "busy", the worker that takes the task from 55 kills
+# itself; "idle", it kills the other worker a second later, when that one
+# has verified every task the pool lets it run ahead and waits for the next
+_LOSE_A_WORKER = """
+import os, signal, sys, time
+from llschain import verify
+from llschain.cli import main
+
+verify._CHUNK_SIZE, verify._TASK_SIZE = 40, 15
+verify_task = verify._verify_task
+victim, pids = sys.argv.pop(1), sys.argv.pop(1)
+checkpoint = sys.argv[sys.argv.index("--checkpoint") + 1]
+
+def dying_task(args):
+    with open(pids, "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    if args[1][0] == 55:
+        while not os.path.exists(checkpoint):
+            time.sleep(0.01)
+        if victim == "busy":
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(1)
+        other = next(int(pid) for pid in open(pids).read().split()
+                     if int(pid) != os.getpid())
+        os.kill(other, signal.SIGKILL)
+        time.sleep(60)
+    return verify_task(args)
+
+verify._verify_task = dying_task
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("victim", ["busy", "idle"])
+def test_lost_pool_worker_ends_the_run(capsys, monkeypatch, tmp_path, victim):
+    # a lost worker takes tasks with it: the run exits 2 naming the worker,
+    # rather than wait for good, and rerunning the identical command resumes
+    # it to the uninterrupted run's bytes
+    cmd = _verify_cmd(tmp_path, "lost", 2, "--limit", "100")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LOSE_A_WORKER, victim, str(tmp_path / "pids"),
+         *cmd[3:]],
+        env=_cli_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+    assert proc.returncode == 2, err.decode()
+    assert "pool worker" in err.decode() and "rerun the same command" in err.decode()
+    assert json.loads((tmp_path / "lost.ck").read_text())["done"] == 40
+
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    monkeypatch.setattr(verify_module, "_TASK_SIZE", 15)
+    assert main(cmd[3:]) == 0
+    resumed = json.loads(capsys.readouterr().out)
+    assert resumed["resumed_from"] == 40 and resumed["verified"] == 100
+    ref = _verify_cmd(tmp_path, "ref", 1, "--limit", "100")
+    assert main(ref[3:]) == 0
+    assert json.loads(capsys.readouterr().out)["stream_hash"] == resumed["stream_hash"]
+    assert (tmp_path / "lost.jsonl").read_bytes() == \
         (tmp_path / "ref.jsonl").read_bytes()
 
 

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import random
+import types
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -33,7 +34,7 @@ from llschain import (
 )
 from llschain import table as table_module
 from llschain.enumeration import TableEnumerator
-from llschain.table import RhoBreakdown, VanishingTable
+from llschain.table import RhoBreakdown, VanishingTable, packing
 from llschain.tensor import TensorTable, pair_list
 
 
@@ -479,6 +480,80 @@ def test_interned_columns_match_oracles(table):
     assert table.exceptional == frozenset(exceptional_rows(table))
     assert build_tensor_table(table) == _reference_tensor(table)
     assert _outcome(validate_table, table) == _outcome(_reference_validate, table)
+
+
+def _reference_column(genus, d, a, b):
+    """The slots of ``Column(genus, d, a, b)``, computed as its build did with
+    one pass per tensor sum, a per-sum range check and per-pair shifts."""
+    col = types.SimpleNamespace()
+    h = len(a)
+    col.genus = genus
+    col.height = h if len(b) == h else -1
+    col.next_a = tuple(d - bj for bj in b)
+    col.ta = col.tb = col.pa = col.pb = None
+    col.swaps, col.exc, col.box, col.removals = (), frozenset(), None, 0
+    col.fault = col.generic = None
+    if col.height < 0:
+        return vars(col)
+    rows = range(h)
+    pairs = pair_list(h - 1)
+    col.ta = tuple(a[j1] + a[j2] for j1, j2 in pairs)
+    col.tb = tuple(b[j1] + b[j2] for j1, j2 in pairs)
+    if all(0 <= v <= 2 * d for v in col.ta + col.tb):
+        f = packing(h - 1, d)[0]
+        col.pa = sum(v << (p * f) for p, v in enumerate(col.ta))
+        col.pb = sum(v << (p * f) for p, v in enumerate(col.tb))
+    sums = [a[j] + b[j] for j in rows]
+    col.swaps = tuple(
+        (j, k, abs(a[j] - a[k]) == 1 and abs(b[j] - b[k]) == 1
+         and (sums[j] == d or sums[k] == d))
+        for j in rows for k in range(j + 1, h)
+        if (a[j] - a[k] > 0) == (b[j] - b[k] > 0)
+    )
+    bound = d - 1 if genus == 1 else d
+    col.exc = frozenset(j for j in rows if sums[j] < bound)
+    col.box = next((j for j in rows if genus + sums[j] > d), None)
+    col.removals = sum(max(0, d - genus - s) for s in sums)
+    col.fault = table_module._column_fault(d, a, b, sums)
+    full = sums.count(d)
+    if genus == 1 and full > 1:
+        col.generic = "two rows of sum d in a genus-1 column"
+    elif genus != 1 and full != h:
+        col.generic = "genus-0 column with a row below sum d"
+    return vars(col)
+
+
+def _slots(col):
+    return {name: getattr(col, name) for name in table_module.Column.__slots__}
+
+
+@st.composite
+def column_keys(draw):
+    """(genus, d, a, b): entries in 0..d or a little outside it, duplicates
+    allowed, and sometimes a b one row longer or shorter than a."""
+    d = draw(st.integers(0, 30))
+    h = draw(st.integers(0, 8))
+    entry = st.integers(0, d) | st.integers(-3, d + 3)
+    a = draw(st.lists(entry, min_size=h, max_size=h))
+    hb = draw(st.sampled_from((h, h, h, h + 1, max(h - 1, 0))))
+    b = draw(st.lists(entry, min_size=hb, max_size=hb))
+    return draw(st.sampled_from((0, 1))), d, tuple(a), tuple(b)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(column_keys())
+def test_column_matches_reference_build(key):
+    assert _slots(table_module.Column(*key)) == _reference_column(*key)
+
+
+def test_column_matches_reference_build_along_a_sample_walk():
+    enum = TableEnumerator(23, 6, 26, None, "two_swap")
+    keys = {(genus, table.d, ai, bi)
+            for _, table in enum.iter_indices(enum.sample_indices(300, seed=1))
+            for genus, ai, bi in zip(table.chain.genera, table.a, table.b)}
+    assert len(keys) > 300
+    for key in keys:
+        assert _slots(table_module.Column(*key)) == _reference_column(*key)
 
 
 # draws a search for one outcome of `oracle_tables` may take; the rarest,

@@ -382,17 +382,18 @@ def test_family_resume_within_its_checkpoint_verifies_nothing(tmp_path, monkeypa
 
 
 def test_family_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
-    # a --jobs 3 run of two chunks forks two workers, and a --jobs 2 rerun of
-    # a finished run forks none
+    # a --jobs 3 run of two one-task chunks forks two workers, and a --jobs 2
+    # rerun of a finished run forks none
     monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
     sizes = []
 
-    class Context(verify_module._PoolContext):
-        def Pool(self, processes):
-            sizes.append(processes)
-            return super().Pool(processes)
+    pool_results = verify_module._pool_results
 
-    monkeypatch.setattr(verify_module, "_PoolContext", Context)
+    def recording(tasks, jobs):
+        sizes.append(jobs)
+        return pool_results(tasks, jobs)
+
+    monkeypatch.setattr(verify_module, "_pool_results", recording)
     base = dict(g=21, r=6, d=24, rho_max=0, limit=80,
                 out_path=str(tmp_path / "v.jsonl"),
                 checkpoint_path=str(tmp_path / "v.ck"))
@@ -402,6 +403,76 @@ def test_family_pool_has_no_more_workers_than_tasks(tmp_path, monkeypatch):
     assert sizes == [2]
     assert again.resumed_from == again.verified == 80
     assert again.stream_hash == first.stream_hash
+    # tasks, not chunks, bound the pool: one chunk of 40 in tasks of at most
+    # 15 forks three workers for --jobs 4
+    monkeypatch.setattr(verify_module, "_TASK_SIZE", 15)
+    verify_family(FamilyConfig(g=21, r=6, d=24, rho_max=0, limit=40, jobs=4))
+    assert sizes == [2, 3]
+
+
+# the file _logged_task appends to; a test sets it before its pool forks
+_TASK_LOG = None
+_real_verify_task = verify_module._verify_task
+
+
+def _logged_task(args):
+    """``_verify_task``, after appending its task's first index and last
+    index + 1 to _TASK_LOG; it runs in the process that verifies the task."""
+    indices = args[1]
+    with open(_TASK_LOG, "a", encoding="utf-8") as fh:
+        fh.write(f"{indices[0]} {indices[-1] + 1}\n")
+    return _real_verify_task(args)
+
+
+def test_family_pool_tasks_are_slices_of_one_chunk(tmp_path, monkeypatch):
+    # a pool works on tasks of at most 15 tables, none straddling two chunks
+    # of 40, and a run in process on whole chunks; either way the checkpoints
+    # fall after every chunk, and the stream is the one of an unsplit run
+    base = dict(g=21, r=6, d=24, rho_max=0, limit=100)
+    whole = tmp_path / "whole.jsonl"
+    verify_family(FamilyConfig(**base, out_path=str(whole)))
+    saved = []
+    save = verify_module._save_checkpoint
+
+    def recording(config, done, *rest):
+        saved.append(done)
+        save(config, done, *rest)
+
+    monkeypatch.setattr(verify_module, "_save_checkpoint", recording)
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    monkeypatch.setattr(verify_module, "_TASK_SIZE", 15)
+    monkeypatch.setattr(verify_module, "_verify_task", _logged_task)
+    chunks = [(0, 40), (40, 80), (80, 100)]
+    pool_tasks = [(0, 15), (15, 30), (30, 40), (40, 55), (55, 70), (70, 80),
+                  (80, 95), (95, 100)]
+    for jobs in (1, 2, 3):
+        log, out = tmp_path / f"tasks{jobs}", tmp_path / f"j{jobs}.jsonl"
+        monkeypatch.setitem(globals(), "_TASK_LOG", str(log))
+        saved.clear()
+        verify_family(FamilyConfig(**base, jobs=jobs, out_path=str(out),
+                                   checkpoint_path=str(tmp_path / f"j{jobs}.ck")))
+        assert saved == [40, 80, 100]
+        tasks = sorted(tuple(map(int, line.split()))
+                       for line in log.read_text().splitlines())
+        assert tasks == (chunks if jobs == 1 else pool_tasks)
+        assert out.read_bytes() == whole.read_bytes()
+
+
+def _failing_task(args):
+    """``_verify_task``, except that the task from index 15 raises."""
+    if args[1][0] == 15:
+        raise ArithmeticError("the task from 15")
+    return _real_verify_task(args)
+
+
+def test_family_pool_raises_a_workers_exception(monkeypatch):
+    # an exception raised in a pool worker reaches the caller as itself
+    monkeypatch.setattr(verify_module, "_CHUNK_SIZE", 40)
+    monkeypatch.setattr(verify_module, "_TASK_SIZE", 15)
+    monkeypatch.setattr(verify_module, "_verify_task", _failing_task)
+    with pytest.raises(ArithmeticError, match="the task from 15"):
+        verify_family(FamilyConfig(g=21, r=6, d=24, rho_max=0, limit=40,
+                                   jobs=2))
 
 
 def test_family_resume_rejects_output_it_cannot_cut(tmp_path, monkeypatch):
