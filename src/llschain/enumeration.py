@@ -21,6 +21,26 @@ One pass serves every stratum.  The count keeps only these vectors: each
 state's choice list is built, read once and dropped, and no value tuple is
 built for a successor.
 
+The count skips dead states by one test.  Lemma: take a state after column
+i with sorted row values v_0 < ... < v_r and m = g - i columns left.  If
+sum_j max(0, v_j + m - (d - r + j)) > m, the state has no completion.
+Proof: each column lifts every row by at least one, except at most one
+row, its delta row.  So if row k is the delta row in e_k of the remaining
+columns, its last value is f_k >= v_k + m - e_k, and sum_k e_k <= m.  The
+last values are distinct and at most d, so the one of rank j among them is
+at most c_j = d - r + j; writing p(k) for the rank of f_k,
+e_k >= max(0, v_k + m - c_{p(k)}).  For the convex, nondecreasing
+x -> max(0, x), the sum over k of max(0, v_k - c_{p(k)} + m) over the
+bijections p is least when p sorts the v like the c (rearrangement), which
+is the sum in the lemma; so sum_k e_k exceeds m.  In shape terms the term
+of row j is (g - d + r) - lambda_j, the boxes that row j of the sorted
+shape still lacks of the (r + 1) x (g - d + r) Brill-Noether rectangle at
+the end, and a column adds at most one box.  The test reads only the
+state, so its zero is memoized like any vector.  On (23,6,26), (22,6,25)
+and (21,6,24) rho 0 it settles exactly the dead states, but the count does
+not rely on that: by the lemma it prunes no live state, and a dead state it
+misses is counted to zero through its choices.
+
 Walks run over nodes keyed by the labeled state: a node holds the state's
 column choices in canonical order and the prefix sums of their children's
 stratum counts, so unranking an index takes one bisection per column
@@ -242,7 +262,14 @@ class TableEnumerator:
 
     def _vector(self, i: int, mask: int, budget: int) -> tuple[int, int, int]:
         """Completions of a state after column i (its row values as a
-        bitmask), split by the swaps they add: none, one, two or more."""
+        bitmask), split by the swaps they add: none, one, two or more.
+
+        A state whose sorted rows lack more boxes of the Brill-Noether
+        rectangle than there are columns left has no completion (see the
+        module docstring): it gets (0, 0, 0) without a choice list, and the
+        zero is memoized like any vector, so the walk's nodes and the count
+        look it up rather than test the state again.
+        """
         if i == self.g:
             return (1, 0, 0)
         key = (i, mask, budget)
@@ -250,8 +277,15 @@ class TableEnumerator:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        vals = _bits(mask)
+        left = self.g - i
+        # sorted row j lacks max(0, v_j + left - (d - r + j)) boxes
+        shift = left + self.r - self.d
+        if sum([max(0, v - j + shift) for j, v in enumerate(vals)]) > left:
+            vec = memo[key] = (0, 0, 0)
+            return vec
         n0 = n1 = n2 = 0
-        for ch in _column_choices(_bits(mask), budget, self.d):
+        for ch in _column_choices(vals, budget, self.d):
             # most children are memo hits: look them up here, not by a call
             child = (i + 1, ch[0], budget - ch[1])
             sub = memo.get(child)

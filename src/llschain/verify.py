@@ -102,7 +102,10 @@ SIDE_NOT_APPLICABLE = "not_applicable"
 _FAILURE_EXAMPLES = 100
 _VIOLATION_EXAMPLES = 20
 # first entry of a checkpoint's spec; a checkpoint of another layout is refused
-_CHECKPOINT_LAYOUT = "tally"
+_CHECKPOINT_LAYOUT = "tally+tail"
+# bytes of the verdict file, before its checkpointed length, whose sha256 the
+# checkpoint keeps, so that a resume cuts back only that file
+_TAIL_BYTES = 4096
 # tables per checkpoint, and per task of a run verified in process
 _CHUNK_SIZE = 2000
 # most tables per pool task; a pool task is a slice of one chunk, so the lines
@@ -555,11 +558,22 @@ def _load_checkpoint(config: FamilyConfig) -> dict:
     return obj
 
 
+def _tail_digest(path: str, length: int) -> str:
+    """The sha256 of the last (at most ``_TAIL_BYTES``) bytes of ``path``
+    before offset ``length``."""
+    start = max(0, length - _TAIL_BYTES)
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return hashlib.sha256(fh.read(length - start)).hexdigest()
+
+
 def _open_output(config: FamilyConfig, checkpoint: dict):
     """The JSONL handle, cut back to the checkpoint's length on resume.
 
     Lines written after the last checkpoint (a hard kill leaves them) are
-    dropped, so the resumed file equals the uninterrupted one.
+    dropped, so the resumed file equals the uninterrupted one.  The file is
+    cut only if its bytes before that length end as the checkpointed file's
+    did, wherever it now lives; any other file is left as it is.
     """
     path = config.out_path
     if not checkpoint:
@@ -569,6 +583,8 @@ def _open_output(config: FamilyConfig, checkpoint: dict):
         raise ValueError(f"checkpoint records no length for {path}")
     if not os.path.exists(path) or os.path.getsize(path) < length:
         raise ValueError(f"{path} is missing or shorter than its checkpoint")
+    if _tail_digest(path, length) != checkpoint.get("out_tail"):
+        raise ValueError(f"{path} is not the verdict file of this checkpoint")
     os.truncate(path, length)
     return open(path, "a", encoding="utf-8")
 
@@ -578,17 +594,19 @@ def _save_checkpoint(config: FamilyConfig, done: int, stream_hash: str,
     """Atomically record progress, after the JSONL it covers is on disk."""
     if not config.checkpoint_path:
         return
-    out_bytes = None
+    out_bytes = out_tail = None
     if out_fh:
         out_fh.flush()
         os.fsync(out_fh.fileno())
         out_bytes = os.fstat(out_fh.fileno()).st_size
+        out_tail = _tail_digest(config.out_path, out_bytes)
     payload = {
         "spec": _checkpoint_spec(config),
         "done": done,
         "stream_hash": stream_hash,
         "tally": asdict(tally),
         "out_bytes": out_bytes,
+        "out_tail": out_tail,
     }
     tmp = config.checkpoint_path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:

@@ -325,6 +325,45 @@ def test_cli_verify_refuses_resume_without_out(capsys, tmp_path):
     assert out.read_bytes().count(b"\n") == 40
 
 
+def test_cli_verify_refuses_resume_into_another_file(capsys, tmp_path):
+    # a resume cuts --out back to the checkpoint's length only if that file
+    # is the checkpoint's verdict file: a longer, unrelated one is refused
+    # and left byte for byte as it was
+    ck, out, notes = tmp_path / "ck", tmp_path / "a.jsonl", tmp_path / "notes.txt"
+    family = ["verify", "--g", "21", "--d", "24", "--rho-max", "0",
+              "--checkpoint", str(ck)]
+    assert main([*family, "--limit", "20", "--out", str(out)]) == 0
+    capsys.readouterr()
+    notes.write_bytes(random.Random(5).randbytes(4 * out.stat().st_size))
+    saved, kept = ck.read_bytes(), notes.read_bytes()
+    assert main([*family, "--limit", "40", "--out", str(notes)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not the verdict file" in captured.err
+    assert notes.read_bytes() == kept and ck.read_bytes() == saved
+
+
+def test_cli_verify_resumes_a_moved_verdict_file(capsys, tmp_path):
+    # the check reads the file's bytes, not its path: the same bytes under
+    # another name resume to the uninterrupted run's bytes and hash
+    ck, out, whole = tmp_path / "ck", tmp_path / "a.jsonl", tmp_path / "w.jsonl"
+    family = ["verify", "--g", "21", "--d", "24", "--rho-max", "0"]
+    assert main([*family, "--limit", "20", "--checkpoint", str(ck),
+                 "--out", str(out)]) == 0
+    moved = tmp_path / "elsewhere" / "b.jsonl"
+    moved.parent.mkdir()
+    out.rename(moved)
+    capsys.readouterr()
+    assert main([*family, "--limit", "40", "--checkpoint", str(ck),
+                 "--out", str(moved)]) == 0
+    resumed = json.loads(capsys.readouterr().out)
+    assert main([*family, "--limit", "40", "--out", str(whole)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert resumed["resumed_from"] == 20 and resumed["verified"] == 40
+    assert resumed["stream_hash"] == report["stream_hash"]
+    assert moved.read_bytes() == whole.read_bytes()
+
+
 def test_cli_left_weighted(capsys):
     assert main(["left-weighted", "--g", "4", "--d", "25"]) == 0
     assert capsys.readouterr().out.strip() == "10100,100,1"

@@ -422,17 +422,46 @@ def test_column_choices_match_reference_property(a, budget, lift):
     _assert_choices_match(tuple(a), budget, max(a) + lift)
 
 
+class _ChoicesBuilt(Exception):
+    pass
+
+
+def _pruned(enum, keys, monkeypatch):
+    """The count states among ``keys`` (column, mask, budget) whose vector
+    ``_vector`` finds, on an empty memo, without building a choice list."""
+    def refuse(*args):
+        raise _ChoicesBuilt
+
+    memo, pruned = enum._memo, set()
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_column_choices", refuse)
+        for key in keys:
+            enum._memo = {}
+            try:
+                enum._vector(*key)
+            except _ChoicesBuilt:
+                continue
+            pruned.add(key)
+    enum._memo = memo
+    return pruned
+
+
 def test_count_builds_each_choice_list_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[:2])
+        calls.append((tuple(args[0]), args[1]))
         return _column_choices(*args)
 
     monkeypatch.setattr(enumeration, "_column_choices", counted)
     enum = TableEnumerator(23, 6, 26, None, "two_swap")
     enum.total()
-    assert len(calls) == len(enum._memo)
+    pruned = _pruned(enum, list(enum._memo), monkeypatch)
+    assert len(enum._memo) == 2653 and len(pruned) == 1625
+    # one list for each state the prune did not settle, and none for the rest
+    assert collections.Counter(calls) == collections.Counter(
+        (tuple(_bits(mask)), budget)
+        for i, mask, budget in enum._memo if (i, mask, budget) not in pruned)
 
 
 def _reference_roots(enum):
@@ -467,7 +496,8 @@ def _reference_vectors(enum):
     return memo
 
 
-@pytest.mark.parametrize("family", [(6, 1, 5, 2), (8, 2, 8, 2), (5, 1, 4, 1)])
+@pytest.mark.parametrize("family", [(6, 1, 5, 2), (8, 2, 8, 2), (5, 1, 4, 1),
+                                    (21, 6, 24, 0)])
 def test_count_vectors_match_reference_dp(family):
     want = None
     for stratum in STRATA:
@@ -475,7 +505,27 @@ def test_count_vectors_match_reference_dp(family):
         enum.total()
         if want is None:
             want = _reference_vectors(enum)
-        assert enum._memo == want, stratum
+        # the count enters no pruned state's children, so its memo is a part
+        # of the reference's; asking for each reference state checks the
+        # rest, the pruned ones included
+        assert enum._memo.items() <= want.items(), stratum
+        assert all(enum._vector(*key) == vec for key, vec in want.items()), stratum
+
+
+@pytest.mark.parametrize("family,settled", [
+    ((5, 1, 4, 1), 0), ((6, 1, 5, 2), 0), ((8, 2, 8, 2), 24), ((6, 2, 6, 0), 4),
+    ((5, 2, 6, 2), 8), ((14, 6, 18, 0), 222), ((9, 3, 10), 48),
+    ((21, 6, 24, 0), 1134),
+])
+def test_prune_settles_only_dead_states(family, settled, monkeypatch):
+    # every state the reference DP reaches is tried: the prune is sound if
+    # each one it settles has no completion, and the pinned number of them
+    # shows that it fires
+    enum = TableEnumerator(*family)
+    want = _reference_vectors(enum)
+    pruned = _pruned(enum, want, monkeypatch)
+    assert len(pruned) == settled
+    assert all(want[key] == (0, 0, 0) for key in pruned)
 
 
 # -- unranking against the linear-scan walk ---------------------------------

@@ -338,6 +338,14 @@ def test_family_resume_refuses_older_checkpoint_layout(tmp_path, monkeypatch):
     assert main(["verify", "--g", "21", "--d", "24", "--rho-max", "0",
                  "--limit", "60", "--out", str(out),
                  "--checkpoint", str(ck)]) == 2
+    # a checkpoint of the "tally" layout keeps no digest of its verdict
+    # file's tail, so it could not tell that file from another
+    del saved["counters"], saved["out_tail"]
+    saved["tally"] = tally
+    saved["spec"] = ["tally", *saved["spec"]]
+    ck.write_text(json.dumps(saved))
+    with pytest.raises(ValueError, match="checkpoint does not match"):
+        verify_family(FamilyConfig(**base, limit=60))
 
 
 def test_family_resume_drops_lines_past_checkpoint(tmp_path, monkeypatch):
